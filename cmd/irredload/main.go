@@ -61,6 +61,7 @@ import (
 
 	"irred/internal/buildinfo"
 	"irred/internal/fault"
+	"irred/internal/kernels"
 	"irred/internal/obs"
 	"irred/internal/service"
 	"irred/internal/service/client"
@@ -166,10 +167,8 @@ func parseMix(s string) ([]mixEntry, error) {
 				return nil, fmt.Errorf("bad weight in %q", part)
 			}
 		}
-		switch name {
-		case "mvm", "euler", "moldyn":
-		default:
-			return nil, fmt.Errorf("unknown kernel %q (want mvm, euler, or moldyn)", name)
+		if _, err := kernels.Lookup(name); err != nil {
+			return nil, err
 		}
 		if w > 0 {
 			mix = append(mix, mixEntry{kernel: name, weight: w})

@@ -37,13 +37,10 @@ import (
 	"irred/internal/inspector"
 	"irred/internal/kernels"
 	"irred/internal/machine"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/rts"
 	"irred/internal/service"
 	"irred/internal/service/client"
 	"irred/internal/sim"
-	"irred/internal/sparse"
 	"irred/internal/sweep"
 )
 
@@ -76,6 +73,11 @@ func main() {
 	if *auto {
 		runAuto(*kernel, *dataset, *benchDir, *steps, *seed, *jsonOut)
 		return
+	}
+	// Every explicit-strategy path runs a named kernel, so an unknown
+	// kernel or class fails here rather than on the server or in build.
+	if _, err := kernels.CanonicalClass(*kernel, *dataset); err != nil {
+		fail("%v", err)
 	}
 
 	var dist inspector.Dist
@@ -145,58 +147,19 @@ func emitJSON(rep runReport) {
 	}
 }
 
-func buildLoop(kernel, dataset string, p, k int, dist inspector.Dist, seed int64) (*rts.Loop, string) {
-	switch kernel {
-	case "euler":
-		var nodes, edges int
-		switch strings.ToLower(dataset) {
-		case "2k":
-			nodes, edges = mesh.Paper2K()
-		case "10k":
-			nodes, edges = mesh.Paper10K()
-		default:
-			fail("euler datasets: 2k, 10k")
-		}
-		m := mesh.Generate(nodes, edges, seed)
-		return kernels.NewEuler(m, seed).Loop(p, k, dist),
-			fmt.Sprintf("euler %s (%d nodes, %d edges)", dataset, nodes, edges)
-	case "moldyn":
-		var sys *moldyn.System
-		switch strings.ToLower(dataset) {
-		case "2k":
-			sys = moldyn.Paper2K(seed)
-		case "10k":
-			sys = moldyn.Paper10K(seed)
-		default:
-			fail("moldyn datasets: 2k, 10k")
-		}
-		return kernels.NewMoldyn(sys).Loop(p, k, dist),
-			fmt.Sprintf("moldyn %s (%d molecules, %d interactions)", dataset, sys.N, sys.NumInteractions())
-	case "mvm":
-		var class sparse.Class
-		switch strings.ToUpper(dataset) {
-		case "S":
-			class = sparse.ClassS
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		default:
-			fail("mvm datasets: S, W, A, B")
-		}
-		a := sparse.Generate(class, uint64(seed))
-		return kernels.NewMVM(a).Loop(p, k, dist),
-			fmt.Sprintf("mvm class %s (n=%d, nnz=%d)", class.Name, class.N, class.NNZ)
-	default:
-		fail("unknown kernel %q", kernel)
+// build generates the kernel's dataset through the workload registry,
+// which rejects an unknown kernel or dataset class on every engine path.
+func build(kernel, dataset string, seed int64) *kernels.Instance {
+	in, err := kernels.Build(kernel, dataset, seed)
+	if err != nil {
+		fail("%v", err)
 	}
-	return nil, ""
+	return in
 }
 
 func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, trace, jsonOut bool) {
-	l, desc := buildLoop(kernel, dataset, p, k, dist, seed)
+	in := build(kernel, dataset, seed)
+	l, desc := in.Loop(p, k, dist), in.Desc
 	cm := machine.MANNA()
 
 	opt := rts.SimOptions{Steps: steps}
@@ -245,88 +208,22 @@ func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, se
 	}
 }
 
-// nativeRun executes one kernel natively and returns the parallel result,
-// the sequential reference, and both durations.
-func nativeRun(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64) (result, want []float64, seqDur, parDur time.Duration) {
-	switch kernel {
-	case "euler":
-		var nodes, edges int
-		if strings.ToLower(dataset) == "10k" {
-			nodes, edges = mesh.Paper10K()
-		} else {
-			nodes, edges = mesh.Paper2K()
-		}
-		m := mesh.Generate(nodes, edges, seed)
-		eu := kernels.NewEuler(m, seed)
-		t0 := time.Now()
-		want = eu.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, q, err := eu.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result = q
-	case "moldyn":
-		var sys *moldyn.System
-		if strings.ToLower(dataset) == "10k" {
-			sys = moldyn.Paper10K(seed)
-		} else {
-			sys = moldyn.Paper2K(seed)
-		}
-		md := kernels.NewMoldyn(sys)
-		t0 := time.Now()
-		wantPos, _ := md.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, pos, _, err := md.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result, want = pos, wantPos
-	case "mvm":
-		var class sparse.Class
-		switch strings.ToUpper(dataset) {
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		default:
-			class = sparse.ClassS
-		}
-		a := sparse.Generate(class, uint64(seed))
-		mv := kernels.NewMVM(a)
-		t0 := time.Now()
-		want = mv.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, err := mv.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result = nat.X
-	default:
-		fail("unknown kernel %q", kernel)
-	}
-	return result, want, seqDur, parDur
-}
-
+// runNative executes one kernel natively and verifies it against the
+// sequential reference.
 func runNative(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, jsonOut bool) {
-	result, want, seqDur, parDur := nativeRun(kernel, dataset, p, k, dist, steps, seed)
+	in := build(kernel, dataset, seed)
+	t0 := time.Now()
+	want := in.Sequential(steps)
+	seqDur := time.Since(t0)
+	nat, result, err := in.Native(in.Loop(p, k, dist), nil)
+	if err != nil {
+		fail("%v", err)
+	}
+	t0 = time.Now()
+	if err := nat.Run(steps); err != nil {
+		fail("%v", err)
+	}
+	parDur := time.Since(t0)
 	diff := maxRelDiff(result, want)
 	if jsonOut {
 		emitJSON(runReport{
@@ -404,9 +301,11 @@ func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bo
 	if err != nil {
 		fail("-auto: %v (run irredsweep first to persist a trajectory)", err)
 	}
-	class := strings.ToLower(dataset)
-	if kernel == "mvm" {
-		class = strings.ToUpper(dataset)
+	// The sweep harness also runs families outside the kernels registry
+	// (raw), whose classes are lower case.
+	class, err := kernels.CanonicalClass(kernel, dataset)
+	if err != nil {
+		class = strings.ToLower(dataset)
 	}
 	pick := tn.Pick(kernel, class, sweep.KernelLicense(kernel))
 	cell := sweep.Cell{

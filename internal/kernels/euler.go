@@ -83,17 +83,19 @@ func flux(w float64, qa, qb, out []float64) {
 // Loop describes the flux sweep to the runtime, carrying a scanned
 // bounds proof over the edge endpoints when they are all in range.
 func (e *Euler) Loop(p, k int, dist inspector.Dist) *rts.Loop {
+	return pairLoop("euler flux sweep", e.Mesh.NumNodes, e.Mesh.I1, e.Mesh.I2, eulerCost, p, k, dist)
+}
+
+// pairLoop describes an equal-and-opposite sweep over pairs (i1[i], i2[i])
+// (euler's edges, moldyn's interactions) as a reduce loop, with a scanned
+// bounds proof when every endpoint is in range.
+func pairLoop(desc string, numElems int, i1, i2 []int32, cost rts.KernelCost, p, k int, dist inspector.Dist) *rts.Loop {
 	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("euler flux sweep", e.Mesh.NumNodes, e.Mesh.I1, e.Mesh.I2),
-		Cfg: inspector.Config{
-			P: p, K: k,
-			NumIters: e.Mesh.NumEdges(),
-			NumElems: e.Mesh.NumNodes,
-			Dist:     dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  [][]int32{e.Mesh.I1, e.Mesh.I2},
-		Cost: eulerCost,
+		Proof: dataflow.IndirectionFacts(desc, numElems, i1, i2),
+		Cfg:   inspector.Config{P: p, K: k, NumIters: len(i1), NumElems: numElems, Dist: dist},
+		Mode:  rts.Reduce,
+		Ind:   [][]int32{i1, i2},
+		Cost:  cost,
 	}
 }
 
@@ -136,7 +138,12 @@ func (e *Euler) NewNative(p, k int, dist inspector.Dist) (*rts.Native, []float64
 // NewNativeFrom is NewNative over pre-built schedules (e.g. served from a
 // schedule cache); a nil scheds runs the LightInspector as NewNative does.
 func (e *Euler) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, error) {
-	l := e.Loop(p, k, dist)
+	return e.nativeOn(e.Loop(p, k, dist), scheds)
+}
+
+// nativeOn wires the kernel onto a Native over l, which must come from
+// e.Loop.
+func (e *Euler) nativeOn(l *rts.Loop, scheds []*inspector.Schedule) (*rts.Native, []float64, error) {
 	n, err := newNative(l, scheds)
 	if err != nil {
 		return nil, nil, err

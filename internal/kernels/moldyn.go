@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/moldyn"
 	"irred/internal/rts"
@@ -67,18 +66,7 @@ func ljForce(pos []float64, box float64, a, b int, out []float64) {
 // Loop describes the force sweep to the runtime, carrying a scanned
 // bounds proof over the interaction endpoints when they are all in range.
 func (m *Moldyn) Loop(p, k int, dist inspector.Dist) *rts.Loop {
-	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("moldyn force sweep", m.Sys.N, m.Sys.I1, m.Sys.I2),
-		Cfg: inspector.Config{
-			P: p, K: k,
-			NumIters: m.Sys.NumInteractions(),
-			NumElems: m.Sys.N,
-			Dist:     dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  [][]int32{m.Sys.I1, m.Sys.I2},
-		Cost: moldynCost,
-	}
+	return pairLoop("moldyn force sweep", m.Sys.N, m.Sys.I1, m.Sys.I2, moldynCost, p, k, dist)
 }
 
 // SequentialStep runs one reference timestep over pos/vel with force
@@ -121,7 +109,12 @@ func (m *Moldyn) NewNative(p, k int, dist inspector.Dist) (*rts.Native, []float6
 // NewNativeFrom is NewNative over pre-built schedules (e.g. served from a
 // schedule cache); a nil scheds runs the LightInspector as NewNative does.
 func (m *Moldyn) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, []float64, error) {
-	l := m.Loop(p, k, dist)
+	return m.nativeOn(m.Loop(p, k, dist), scheds)
+}
+
+// nativeOn wires the kernel onto a Native over l, which must come from
+// m.Loop.
+func (m *Moldyn) nativeOn(l *rts.Loop, scheds []*inspector.Schedule) (*rts.Native, []float64, []float64, error) {
 	n, err := newNative(l, scheds)
 	if err != nil {
 		return nil, nil, nil, err

@@ -93,15 +93,21 @@ func (m *MVM) NewNative(p, k int, dist inspector.Dist) (*rts.Native, error) {
 // NewNativeFrom is NewNative over pre-built schedules (e.g. served from a
 // schedule cache); a nil scheds runs the LightInspector as NewNative does.
 func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, error) {
-	l := m.Loop(p, k, dist)
+	n, _, err := m.nativeOn(m.Loop(p, k, dist), scheds)
+	return n, err
+}
+
+// nativeOn wires the kernel onto a Native over l, which must come from
+// m.Loop; the second result is the rotated x vector, n.X.
+func (m *MVM) nativeOn(l *rts.Loop, scheds []*inspector.Schedule) (*rts.Native, []float64, error) {
 	n, err := newNative(l, scheds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := range n.X {
 		n.X[i] = 1
 	}
-	partial := make([][]float64, p)
+	partial := make([][]float64, l.Cfg.P)
 	for q := range partial {
 		partial[q] = make([]float64, m.A.N)
 	}
@@ -120,5 +126,5 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 			n.X[r] = mvmScale * y
 		}
 	}
-	return n, nil
+	return n, n.X, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"irred/internal/fault"
 	"irred/internal/inspector"
+	"irred/internal/kernels"
 )
 
 // State is a job's lifecycle position.
@@ -54,7 +55,7 @@ type LoopSpec struct {
 }
 
 // JobSpec describes one reduction job: either a named kernel over a
-// generated dataset (mvm | euler | moldyn, regenerated deterministically
+// generated dataset (mvm | euler | moldyn, built deterministically
 // from Dataset+Seed so results are bit-reproducible across processes), or a
 // raw irregular reduction given by indirection arrays and a contribution
 // spec. The strategy (P, K, Dist) plus the indirection contents key the
@@ -133,10 +134,10 @@ type JobSpec struct {
 // the nearest-sized synthetic workload.
 func (sp *JobSpec) workload() (kernel, class string) {
 	if !sp.IsRaw() {
-		if sp.Kernel == "mvm" {
-			return sp.Kernel, strings.ToUpper(sp.Dataset)
+		if c, err := kernels.CanonicalClass(sp.Kernel, sp.Dataset); err == nil {
+			return sp.Kernel, c
 		}
-		return sp.Kernel, strings.ToLower(sp.Dataset)
+		return sp.Kernel, sp.Dataset
 	}
 	switch {
 	case sp.NumIters <= 1024:
@@ -156,7 +157,7 @@ func (sp *JobSpec) IsRaw() bool { return sp.Kernel == "" }
 // the schedule-cache entry the job will populate or hit — so consistent
 // hashing shards the warm cache naturally: every job with the same
 // traversal and strategy lands on the node already holding its schedules.
-// Named kernels regenerate their dataset deterministically from
+// Named kernels build their dataset deterministically from
 // (dataset, seed), so a cheap literal key stands in for the content hash
 // with the same collision-free sharding property.
 func (sp *JobSpec) RoutingKey() string {
@@ -168,12 +169,12 @@ func (sp *JobSpec) RoutingKey() string {
 	if err != nil {
 		dist = inspector.Cyclic
 	}
-	return inspector.ScheduleKey(inspector.Config{
-		P: sp.P, K: sp.K,
-		NumIters: sp.NumIters,
-		NumElems: sp.NumElems,
-		Dist:     dist,
-	}, sp.Ind...)
+	return inspector.ScheduleKey(sp.rawConfig(dist), sp.Ind...)
+}
+
+// rawConfig is the inspector configuration every loop of a raw job shares.
+func (sp *JobSpec) rawConfig(dist inspector.Dist) inspector.Config {
+	return inspector.Config{P: sp.P, K: sp.K, NumIters: sp.NumIters, NumElems: sp.NumElems, Dist: dist}
 }
 
 // numLoops returns how many loops a raw job runs per sweep (at least 1:
@@ -265,23 +266,8 @@ func (sp *JobSpec) Validate() error {
 		return fmt.Errorf("cluster_uid is %d bytes, max 128", len(sp.ClusterUID))
 	}
 	if !sp.IsRaw() {
-		switch sp.Kernel {
-		case "mvm":
-			switch strings.ToUpper(sp.Dataset) {
-			case "S", "W", "A", "B":
-			default:
-				return fmt.Errorf("mvm datasets: S, W, A, B (got %q)", sp.Dataset)
-			}
-		case "euler", "moldyn":
-			switch strings.ToLower(sp.Dataset) {
-			case "2k", "10k":
-			default:
-				return fmt.Errorf("%s datasets: 2k, 10k (got %q)", sp.Kernel, sp.Dataset)
-			}
-		default:
-			return fmt.Errorf("unknown kernel %q", sp.Kernel)
-		}
-		return nil
+		_, err := kernels.CanonicalClass(sp.Kernel, sp.Dataset)
+		return err
 	}
 	// Raw form.
 	if sp.NumElems < 1 {

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"irred/internal/kernels"
 )
 
 // latWindow is the number of recent job latencies retained for the
@@ -94,6 +96,9 @@ type Snapshot struct {
 	// Sessions is the streaming-session store: resident sessions, deltas
 	// applied, and the incremental-vs-full re-inspection split.
 	Sessions SessionMetrics `json:"sessions"`
+	// Inputs is the process-wide cache of named-kernel datasets: a hit
+	// serves a job's input without regenerating it.
+	Inputs kernels.InputStats `json:"inputs"`
 }
 
 // snapshot assembles the jobs map and latency percentiles.

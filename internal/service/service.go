@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +30,8 @@ import (
 	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/obs"
 	"irred/internal/rts"
-	"irred/internal/sparse"
 )
 
 // ErrChaosDisabled is returned for jobs carrying a chaos spec when the
@@ -430,6 +426,7 @@ func (s *Service) Metrics() Snapshot {
 		WorkersBusy:      busy,
 		Latency:          lat,
 		Sessions:         s.sessions.metrics(),
+		Inputs:           kernels.InputCacheStats(),
 	}
 }
 
@@ -522,27 +519,27 @@ func (s *Service) pruneFinished(id string) {
 	}
 }
 
-// schedules serves the loop's schedule set from the cache, running the
-// LightInspector only on a miss. Concurrent misses on the same key may both
-// inspect; the duplicate Put is harmless (entries are content-determined).
-func (s *Service) schedules(l *rts.Loop) ([]*inspector.Schedule, bool, string, error) {
+// schedules serves the loop's schedule set, stored under key (its
+// inspector.ScheduleKey), from the cache, running the LightInspector only
+// on a miss. Concurrent misses on the same key may both inspect; the
+// duplicate Put is harmless (entries are content-determined).
+func (s *Service) schedules(l *rts.Loop, key string) ([]*inspector.Schedule, bool, error) {
 	l.Trace = s.trace
-	key := inspector.ScheduleKey(l.Cfg, l.Ind...)
 	if scheds, ok := s.cache.Get(key); ok {
 		s.trace.Event("cache/hit", -1, -1, -1, -1)
-		return scheds, true, key, nil
+		return scheds, true, nil
 	}
 	s.trace.Event("cache/miss", -1, -1, -1, -1)
 	scheds, err := l.Schedules()
 	if err != nil {
-		return nil, false, key, err
+		return nil, false, err
 	}
 	if err := s.cache.Put(key, scheds); err != nil {
 		// Persistence failure degrades to in-memory-only; the job itself
 		// proceeds. (Put inserts in memory before touching disk.)
 		_ = err
 	}
-	return scheds, false, key, nil
+	return scheds, false, nil
 }
 
 // execute builds the job's loop, obtains schedules through the cache, and
@@ -572,17 +569,9 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 	if len(spec.Loops) > 0 {
 		return s.executeRawMulti(j, dist, steps)
 	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters,
-			NumElems: spec.NumElems,
-			Dist:     dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  spec.Ind,
-	}
-	scheds, hit, key, err := s.schedules(l)
+	l := &rts.Loop{Cfg: spec.rawConfig(dist), Mode: rts.Reduce, Ind: spec.Ind}
+	key = inspector.ScheduleKey(l.Cfg, l.Ind...)
+	scheds, hit, err := s.schedules(l, key)
 	if err != nil {
 		return nil, hit, key, err
 	}
@@ -752,12 +741,7 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 // native engine with no chaos and no checkpointing.
 func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
-	cfg := inspector.Config{
-		P: spec.P, K: spec.K,
-		NumIters: spec.NumIters,
-		NumElems: spec.NumElems,
-		Dist:     dist,
-	}
+	cfg := spec.rawConfig(dist)
 	x := make([]float64, spec.NumElems)
 	slots := make(map[string][]*inspector.Schedule)
 	natives := make([]*rts.Native, len(spec.Loops))
@@ -772,7 +756,7 @@ func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (resul
 			s.trace.Event("job/reuse", -1, -1, li, -1)
 		} else {
 			var h bool
-			scheds, h, _, err = s.schedules(l)
+			scheds, h, err = s.schedules(l, k)
 			if err != nil {
 				return nil, hit, key, err
 			}
@@ -800,78 +784,33 @@ func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (resul
 	return x, hit, key, nil
 }
 
-// executeNamed runs a named-kernel job on the native engine.
+// executeNamed runs a named-kernel job on the native engine over its
+// dataset from the process-wide input cache.
 func (s *Service) executeNamed(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
-	switch spec.Kernel {
-	case "mvm":
-		class := sparse.ClassS
-		switch strings.ToUpper(spec.Dataset) {
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		}
-		mv := kernels.NewMVM(sparse.Generate(class, uint64(spec.Seed)))
-		l := mv.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, err := mv.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return n.X, hit, key, nil
-	case "euler":
-		nodes, edges := mesh.Paper2K()
-		if strings.ToLower(spec.Dataset) == "10k" {
-			nodes, edges = mesh.Paper10K()
-		}
-		eu := kernels.NewEuler(mesh.Generate(nodes, edges, spec.Seed), spec.Seed)
-		l := eu.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, q, err := eu.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return q, hit, key, nil
-	case "moldyn":
-		var sys *moldyn.System
-		if strings.ToLower(spec.Dataset) == "10k" {
-			sys = moldyn.Paper10K(spec.Seed)
-		} else {
-			sys = moldyn.Paper2K(spec.Seed)
-		}
-		md := kernels.NewMoldyn(sys)
-		l := md.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, pos, _, err := md.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return pos, hit, key, nil
-	default:
-		return nil, false, "", fmt.Errorf("service: unknown kernel %q", spec.Kernel)
+	start := s.trace.Begin()
+	in, inputHit, err := kernels.Input(spec.Kernel, spec.Dataset, spec.Seed)
+	if err != nil {
+		return nil, false, "", err
 	}
+	if inputHit {
+		s.trace.Event("input/hit", -1, -1, -1, -1)
+	} else {
+		s.trace.End("input/build", -1, -1, -1, -1, start)
+	}
+	l := in.Loop(spec.P, spec.K, dist)
+	key = inspector.ScheduleKey(l.Cfg, l.Ind...)
+	scheds, hit, err := s.schedules(l, key)
+	if err != nil {
+		return nil, hit, key, err
+	}
+	n, out, err := in.Native(l, scheds)
+	if err != nil {
+		return nil, hit, key, err
+	}
+	n.Trace = s.trace
+	if err := n.RunContext(j.ctx, steps); err != nil {
+		return nil, hit, key, err
+	}
+	return out, hit, key, nil
 }

@@ -334,17 +334,10 @@ func (s *Service) OpenSession(ctx context.Context, spec JobSpec) (*SessionStatus
 	if err != nil {
 		return nil, err
 	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  spec.Ind,
-	}
+	l := &rts.Loop{Cfg: spec.rawConfig(dist), Mode: rts.Reduce, Ind: spec.Ind}
 	t0 := time.Now()
-	base, hit, key, err := s.schedules(l)
+	key := inspector.ScheduleKey(l.Cfg, l.Ind...)
+	base, hit, err := s.schedules(l, key)
 	if err != nil {
 		return nil, err
 	}
@@ -468,11 +461,7 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 		}
 	} else {
 		dist, _ := spec.dist()
-		cfg := inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		}
+		cfg := spec.rawConfig(dist)
 		fresh := make([]*inspector.Schedule, spec.P)
 		for p := 0; p < spec.P; p++ {
 			sc, err := inspector.LightTraced(cfg, p, s.trace, spec.Ind...)
@@ -518,16 +507,7 @@ func (s *Service) runSession(ctx context.Context, sess *Session) error {
 		sess.mu.Unlock()
 		return err
 	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		},
-		Mode:  rts.Reduce,
-		Ind:   spec.Ind,
-		Trace: s.trace,
-	}
+	l := &rts.Loop{Cfg: spec.rawConfig(dist), Mode: rts.Reduce, Ind: spec.Ind, Trace: s.trace}
 	scheds := sess.scheds
 	nLoops := spec.numLoops()
 	contribs := make([]rts.ContribFunc, nLoops)

@@ -135,11 +135,14 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-// Property: generated matrices always pass Check and have exact NNZ.
+// Property: generated matrices always pass Check and have exact NNZ. The
+// domain is the valid classes only: up to n-1 extras per row, so a small n
+// at a high density draw is capped at the full matrix (an overfull class
+// panics, which TestGenerateOverfullPanics covers).
 func TestGenerateProperty(t *testing.T) {
 	prop := func(seed uint64, nRaw, dRaw uint8) bool {
 		n := 10 + int(nRaw)
-		nnz := n + int(dRaw)*n/16
+		nnz := n + min(int(dRaw)*n/16, n*(n-1))
 		m := Generate(Class{Name: "q", N: n, NNZ: nnz}, seed)
 		return m.Check() == nil && m.NNZ() == nnz
 	}

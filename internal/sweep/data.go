@@ -10,96 +10,23 @@ import (
 	"irred/internal/inspector"
 	"irred/internal/interp"
 	"irred/internal/kernels"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/rts"
-	"irred/internal/sparse"
 )
 
-// Dataset construction is deterministic in (kernel, class, seed) and
-// cached for the life of the process: a sweep visits the same workload
-// dozens of times across engines and strategies, and the generators
-// (ClassW is half a million nonzeros) dominate cell setup otherwise.
+// Named-kernel datasets come from the process-wide input cache
+// (kernels.Input), shared with the serving path; the synthetic raw specs
+// and the compiled IRL units are cached here for the life of the process.
 // Cached objects are treated as immutable — every engine constructor in
 // this package copies the state it mutates.
 var (
-	dataMu      sync.Mutex
-	csrCache    = map[string]*sparse.CSR{}
-	eulerCache  = map[string]*kernels.Euler{}
-	moldynCache = map[string]*moldyn.System{}
-	rawCache    = map[string]*rawSpec{}
-	unitCache   = map[string]*unitEntry{}
+	dataMu    sync.Mutex
+	rawCache  = map[string]*rawSpec{}
+	unitCache = map[string]*unitEntry{}
 )
 
 type unitEntry struct {
 	unit *codegen.Unit
 	err  error
-}
-
-func mvmData(class string, seed int64) (*sparse.CSR, error) {
-	var cl sparse.Class
-	switch class {
-	case "S":
-		cl = sparse.ClassS
-	case "W":
-		cl = sparse.ClassW
-	case "A":
-		cl = sparse.ClassA
-	case "B":
-		cl = sparse.ClassB
-	default:
-		return nil, fmt.Errorf("sweep: mvm class %q (S | W | A | B)", class)
-	}
-	key := fmt.Sprintf("%s/%d", class, seed)
-	dataMu.Lock()
-	defer dataMu.Unlock()
-	if m, ok := csrCache[key]; ok {
-		return m, nil
-	}
-	m := sparse.Generate(cl, uint64(seed))
-	csrCache[key] = m
-	return m, nil
-}
-
-func eulerData(class string, seed int64) (*kernels.Euler, error) {
-	var nodes, edges int
-	switch class {
-	case "2k":
-		nodes, edges = mesh.Paper2K()
-	case "10k":
-		nodes, edges = mesh.Paper10K()
-	default:
-		return nil, fmt.Errorf("sweep: euler class %q (2k | 10k)", class)
-	}
-	key := fmt.Sprintf("%s/%d", class, seed)
-	dataMu.Lock()
-	defer dataMu.Unlock()
-	if e, ok := eulerCache[key]; ok {
-		return e, nil
-	}
-	e := kernels.NewEuler(mesh.Generate(nodes, edges, seed), seed)
-	eulerCache[key] = e
-	return e, nil
-}
-
-func moldynData(class string, seed int64) (*moldyn.System, error) {
-	key := fmt.Sprintf("%s/%d", class, seed)
-	dataMu.Lock()
-	defer dataMu.Unlock()
-	if s, ok := moldynCache[key]; ok {
-		return s, nil
-	}
-	var sys *moldyn.System
-	switch class {
-	case "2k":
-		sys = moldyn.Paper2K(seed)
-	case "10k":
-		sys = moldyn.Paper10K(seed)
-	default:
-		return nil, fmt.Errorf("sweep: moldyn class %q (2k | 10k)", class)
-	}
-	moldynCache[key] = sys
-	return sys, nil
 }
 
 // rawSpec is a deterministic synthetic pair reduction (x[i1] += w,
@@ -190,16 +117,17 @@ func unit(kernel string) (*codegen.Unit, error) {
 // environment over the unit's fissioned program — the same datasets the
 // native cells run, so engines are compared on identical inputs.
 func newEnv(kernel, class string, seed int64, u *codegen.Unit) (*interp.Env, error) {
+	in, _, err := kernels.Input(kernel, class, seed)
+	if err != nil {
+		return nil, err
+	}
 	env := interp.NewEnv(u.Fissioned)
-	switch kernel {
-	case "mvm":
-		m, err := mvmData(class, seed)
-		if err != nil {
-			return nil, err
-		}
+	switch k := in.Kernel().(type) {
+	case *kernels.MVM:
+		m := k.A
 		env.SetParam("nnz", m.NNZ())
 		env.SetParam("n", m.N)
-		if err := env.BindInt("row", m.RowOfNZ()); err != nil {
+		if err := env.BindInt("row", k.Rows); err != nil {
 			return nil, err
 		}
 		if err := env.BindInt("col", m.Col); err != nil {
@@ -215,38 +143,31 @@ func newEnv(kernel, class string, seed int64, u *codegen.Unit) (*interp.Env, err
 		if err := env.BindFloat("x", x); err != nil {
 			return nil, err
 		}
-	case "euler":
-		e, err := eulerData(class, seed)
-		if err != nil {
-			return nil, err
-		}
-		edges, nodes := e.Mesh.NumEdges(), e.Mesh.NumNodes
+	case *kernels.Euler:
+		edges, nodes := k.Mesh.NumEdges(), k.Mesh.NumNodes
 		ia := make([]int32, 2*edges)
 		for i := 0; i < edges; i++ {
-			ia[2*i], ia[2*i+1] = e.Mesh.I1[i], e.Mesh.I2[i]
+			ia[2*i], ia[2*i+1] = k.Mesh.I1[i], k.Mesh.I2[i]
 		}
 		env.SetParam("num_edges", edges)
 		env.SetParam("num_nodes", nodes)
 		if err := env.BindInt("ia", ia); err != nil {
 			return nil, err
 		}
-		if err := env.BindFloat("w", e.W); err != nil {
+		if err := env.BindFloat("w", k.W); err != nil {
 			return nil, err
 		}
 		for c, name := range []string{"q1", "q2", "q3"} {
 			q := make([]float64, nodes)
 			for i := range q {
-				q[i] = e.Q[3*i+c]
+				q[i] = k.Q[3*i+c]
 			}
 			if err := env.BindFloat(name, q); err != nil {
 				return nil, err
 			}
 		}
-	case "moldyn":
-		sys, err := moldynData(class, seed)
-		if err != nil {
-			return nil, err
-		}
+	case *kernels.Moldyn:
+		sys := k.Sys
 		inter, mol := sys.NumInteractions(), sys.N
 		ia := make([]int32, 2*inter)
 		for i := 0; i < inter; i++ {
@@ -266,8 +187,6 @@ func newEnv(kernel, class string, seed int64, u *codegen.Unit) (*interp.Env, err
 				return nil, err
 			}
 		}
-	default:
-		return nil, fmt.Errorf("sweep: kernel %q has no interpreter binding", kernel)
 	}
 	if err := env.Alloc(); err != nil {
 		return nil, err

@@ -19,26 +19,12 @@ type kernelDef struct {
 	irl     string
 }
 
-// kernelRegistry is the harness's workload catalogue. The distributed
-// engine appears only under raw: it executes bare pair reductions (the
-// service's raw job shape) and has no hook for the named kernels'
-// between-sweep state updates.
+// kernelRegistry is the harness's workload catalogue: the synthetic
+// families below plus, from init, every named kernel of the kernels
+// registry. The distributed engine appears only under raw: it executes
+// bare pair reductions (the service's raw job shape) and has no hook for
+// the named kernels' between-sweep state updates.
 var kernelRegistry = map[string]*kernelDef{
-	"mvm": {
-		classes: []string{"S", "W", "A", "B"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
-		irl:     kernels.MVMIRL,
-	},
-	"euler": {
-		classes: []string{"2k", "10k"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
-		irl:     kernels.EulerIRL,
-	},
-	"moldyn": {
-		classes: []string{"2k", "10k"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
-		irl:     kernels.MoldynIRL,
-	},
 	"raw": {
 		classes: []string{"tiny", "small", "large"},
 		engines: set(EngineNative, EngineDistributed),
@@ -54,6 +40,16 @@ var kernelRegistry = map[string]*kernelDef{
 	},
 }
 
+func init() {
+	for _, w := range kernels.Workloads() {
+		kernelRegistry[w.Name] = &kernelDef{
+			classes: w.Classes,
+			engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
+			irl:     w.IRL,
+		}
+	}
+}
+
 func set(names ...string) map[string]bool {
 	m := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -62,15 +58,14 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// Kernels lists the registered kernel names in canonical order.
-func Kernels() []string { return []string{"mvm", "euler", "moldyn", "raw"} }
-
-// Classes lists the legal classes of a kernel, nil if unknown.
-func Classes(kernel string) []string {
-	if def, ok := kernelRegistry[kernel]; ok {
-		return append([]string(nil), def.classes...)
+// Kernels lists the named kernels of the kernels registry in canonical
+// order, then raw.
+func Kernels() []string {
+	var names []string
+	for _, w := range kernels.Workloads() {
+		names = append(names, w.Name)
 	}
-	return nil
+	return append(names, "raw")
 }
 
 // Grid is the sweep's input: the cartesian product of its dimensions is
