@@ -109,7 +109,7 @@ func main() {
 		must(err)
 		nat, err := rts.NewNative(loop)
 		must(err)
-		nat.Contribs = contribs
+		nat.BatchContribs = contribs
 		must(nat.Run(1))
 		must(p.Scatter(env, nat.X))
 	}

@@ -120,7 +120,7 @@ func BenchmarkUncheckedKernels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				nat.Contribs = contribs
+				nat.BatchContribs = contribs
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := nat.Run(1); err != nil {

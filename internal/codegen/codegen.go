@@ -221,7 +221,7 @@ type BuildOpts struct {
 // `procs` processors with unrolling factor k: it extracts the indirection
 // columns from the environment, estimates the kernel cost from the loop
 // body, and returns the rts loop plus the contribution hook that evaluates
-// the body per iteration.
+// the body a block of iterations at a time.
 //
 // BuildLoop is proof-carrying: it runs the dataflow interval analysis
 // seeded with the environment's concrete parameters and a one-pass min/max
@@ -234,12 +234,12 @@ type BuildOpts struct {
 //
 // Multiple reduction arrays in one group are packed as components of the
 // rotated array; component c of element e holds array c's element e.
-func (p *Plan) BuildLoop(env *interp.Env, procs, k int, dist inspector.Dist) (*rts.Loop, rts.ContribFunc, error) {
+func (p *Plan) BuildLoop(env *interp.Env, procs, k int, dist inspector.Dist) (*rts.Loop, rts.BatchContribFunc, error) {
 	return p.BuildLoopOpts(env, procs, k, dist, BuildOpts{})
 }
 
 // BuildLoopOpts is BuildLoop with explicit optimization control.
-func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist, bopts BuildOpts) (*rts.Loop, rts.ContribFunc, error) {
+func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist, bopts BuildOpts) (*rts.Loop, rts.BatchContribFunc, error) {
 	if p.Kind != Irregular {
 		return nil, nil, fmt.Errorf("codegen: %s is a regular loop", p.Name)
 	}
@@ -255,10 +255,6 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 		return nil, nil, fmt.Errorf("codegen: %s: loops must start at 0 (got %d)", p.Name, lo)
 	}
 	arrays := p.ReductionArrays()
-	compOf := map[string]int{}
-	for c, a := range arrays {
-		compOf[a] = c
-	}
 	nElems, err := env.Size(arrays[0])
 	if err != nil {
 		return nil, nil, err
@@ -308,19 +304,25 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 		loop.Proof = facts
 	}
 
+	// Each reference's contribution lands in its slot of an iteration's
+	// NumRef*comp outputs: reference r, component of its array. The slots
+	// and signs are resolved here, once.
+	comp := len(arrays)
 	exprs := make([]lang.Expr, len(reds))
+	slots := make([]int, len(reds))
 	signs := make([]float64, len(reds))
 	for r, red := range reds {
 		exprs[r] = red.RHS
+		slots[r] = r*comp + sort.SearchStrings(arrays, red.Array)
 		signs[r] = 1
 		if red.Negate {
 			signs[r] = -1
 		}
 	}
 	// Compile the body to bytecode once; each simulated processor gets an
-	// independent evaluator (private register/stack state) plus a private
-	// scratch buffer. Range checks are elided per reference exactly where
-	// the proof covers the access.
+	// independent evaluator (private vector stack and registers) plus a
+	// private block of results. Range checks are elided per reference
+	// exactly where the proof covers the access.
 	copts := interp.CompileOpts{}
 	if !bopts.ForceChecked {
 		copts.Unchecked = facts.RefProven
@@ -329,7 +331,6 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	if err != nil {
 		return nil, nil, err
 	}
-	comp := len(arrays)
 	type evalState struct {
 		code *interp.Code
 		vals []float64
@@ -337,21 +338,31 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	states := make([]evalState, procs)
 	p.codes = p.codes[:0]
 	for q := range states {
-		states[q] = evalState{code: code.Clone(), vals: make([]float64, len(reds))}
-		p.codes = append(p.codes, states[q].code)
+		if q > 0 {
+			code = code.Clone()
+		}
+		states[q] = evalState{code: code, vals: make([]float64, min(rts.ContribBlock, hi)*len(reds))}
+		p.codes = append(p.codes, code)
 	}
-	// Unwritten scratch slots must hold the combine's identity, not zero:
-	// with packed components, reference r contributes nothing to the other
+	// Unwritten slots must hold the combine's identity, not zero: with
+	// packed components, reference r contributes nothing to the other
 	// components, and "nothing" is the identity of the fold.
 	ident, _ := p.Combine.Identity()
-	contribs := func(proc, i int, out []float64) {
+	width := len(reds) * comp
+	contribs := func(proc int, iters []int32, out []float64) {
 		st := &states[proc]
-		st.code.Eval(i, st.vals)
-		for j := range out {
-			out[j] = ident
+		st.code.EvalBatch(iters, st.vals)
+		out = out[:len(iters)*width]
+		if comp > 1 {
+			for j := range out {
+				out[j] = ident
+			}
 		}
-		for r, red := range reds {
-			out[r*comp+compOf[red.Array]] = signs[r] * st.vals[r]
+		for j := range iters {
+			vals, o := st.vals[j*len(reds):], out[j*width:]
+			for r, slot := range slots {
+				o[slot] = signs[r] * vals[r]
+			}
 		}
 	}
 	return loop, contribs, nil
@@ -371,7 +382,7 @@ func (p *Plan) BuildTreeFold(env *interp.Env, workers int) (*rts.TreeFold, error
 	if err != nil {
 		return nil, err
 	}
-	tf.Contribs = contribs
+	tf.BatchContribs = contribs
 	return tf, nil
 }
 

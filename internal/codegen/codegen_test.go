@@ -106,7 +106,7 @@ func TestCompiledLoopMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nat.Contribs = contribs
+			nat.BatchContribs = contribs
 			if err := nat.Run(1); err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ loop i = 0, n {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nat.Contribs = contribs
+		nat.BatchContribs = contribs
 		if err := nat.Run(1); err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ loop i = 0, n {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat.Contribs = contribs
+	nat.BatchContribs = contribs
 	if err := nat.Run(1); err != nil {
 		t.Fatal(err)
 	}

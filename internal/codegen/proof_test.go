@@ -152,7 +152,7 @@ func TestDeliberateOOBFallsBackToChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat.Contribs = contribs
+	nat.BatchContribs = contribs
 	if err := nat.Run(1); err != nil {
 		t.Fatalf("checked fallback must complete the run: %v", err)
 	}

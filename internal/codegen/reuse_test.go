@@ -8,6 +8,7 @@ import (
 	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/interp"
+	"irred/internal/kernels"
 )
 
 // The CG shape: consecutive sweeps over one indirection into different
@@ -162,5 +163,53 @@ func TestRunnerRejectsForgedReuseLicense(t *testing.T) {
 	// Reuse off ignores the license entirely and still runs.
 	if _, err := u.NewRunnerOpts(cgEnv(t, u, 400, 53, 10), 4, 2, inspector.Block, RunnerOpts{NoReuse: true}); err != nil {
 		t.Fatalf("NoReuse runner failed: %v", err)
+	}
+}
+
+// TestRunnerStepReportsRangeFault: a checked read that escapes its array
+// (col[3] = 99 indexes x[4]) is clamped so the sweep finishes, but Step
+// must fail with the recorded fault, as the interpreter's Env.Run does.
+func TestRunnerStepReportsRangeFault(t *testing.T) {
+	u, err := Compile(kernels.MVMIRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func(env *interp.Env) {
+		env.SetParam("nnz", 4)
+		env.SetParam("n", 4)
+		for name, v := range map[string][]int32{"row": {0, 1, 2, 3}, "col": {0, 1, 2, 99}} {
+			if err := env.BindInt(name, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, v := range map[string][]float64{"a": {1, 2, 3, 4}, "x": {5, 6, 7, 8}} {
+			if err := env.BindFloat(name, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := env.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := interp.NewEnv(u.Source)
+	bind(ref)
+	if err := ref.Run(); err == nil {
+		t.Fatal("Env.Run must reject x[col[3]] = x[99]")
+	}
+	env := interp.NewEnv(u.Fissioned)
+	bind(env)
+	r, err := u.NewRunner(env, 2, 1, inspector.Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.Step()
+	if err == nil {
+		t.Fatalf("Step returned nil; y = %v", env.Floats["y"])
+	}
+	if !strings.Contains(err.Error(), "x[col[i]] dim 0: subscript 99 out of range [0, 4)") {
+		t.Errorf("Step error should name the faulting access: %v", err)
+	}
+	if perr := u.Plans[0].RuntimeErr(); perr == nil || perr.Error() != err.Error() {
+		t.Errorf("Step error %v, plan RuntimeErr %v", err, perr)
 	}
 }

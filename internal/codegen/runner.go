@@ -103,7 +103,7 @@ func (u *Unit) NewRunnerOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 			if err != nil {
 				return nil, err
 			}
-			nat.Contribs = contribs
+			nat.BatchContribs = contribs
 			rp.native = nat
 		}
 		r.plans = append(r.plans, rp)
@@ -123,7 +123,9 @@ func (r *Runner) Reuses() int { return r.reuses }
 
 // Step executes the whole program once: each plan in order, irregular
 // loops on the phase runtime (accumulating into the environment's
-// reduction arrays), regular loops via the interpreter.
+// reduction arrays), regular loops via the interpreter. A range fault
+// recorded by an irregular plan's checked bytecode fails the step, as
+// it fails the interpreter's Env.Run.
 func (r *Runner) Step() error {
 	for _, rp := range r.plans {
 		if rp.native == nil {
@@ -137,6 +139,11 @@ func (r *Runner) Step() error {
 			return err
 		}
 		if err := rp.native.Run(1); err != nil {
+			return err
+		}
+		// A checked access that faulted was clamped so the sweep could
+		// finish; the step still failed.
+		if err := rp.plan.RuntimeErr(); err != nil {
 			return err
 		}
 		if err := rp.plan.Scatter(r.Env, rp.native.X); err != nil {

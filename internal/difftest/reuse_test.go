@@ -259,7 +259,7 @@ func distributedExec(procs, k int, dist inspector.Dist) func(p *codegen.Plan, en
 		if err != nil {
 			return err
 		}
-		d.Contribs = contribs
+		d.BatchContribs = contribs
 		seed := make([]float64, loop.Cfg.NumElems*len(p.ReductionArrays()))
 		if err := p.Pack(env, seed); err != nil {
 			return err

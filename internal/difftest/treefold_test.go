@@ -59,7 +59,7 @@ func rotationExec(procs, k int, dist inspector.Dist) func(p *codegen.Plan, env *
 		if err != nil {
 			return err
 		}
-		nat.Contribs = contribs
+		nat.BatchContribs = contribs
 		if err := p.Pack(env, nat.X); err != nil {
 			return err
 		}
@@ -90,7 +90,10 @@ func treeFoldExec(workers int) func(p *codegen.Plan, env *interp.Env) error {
 
 func mvmKernelCase(seed int64) kernelCase {
 	rng := rand.New(rand.NewSource(seed))
-	nnz, n := 300+rng.Intn(700), 50+rng.Intn(200)
+	return mvmSized(rng, 300+rng.Intn(700), 50+rng.Intn(200))
+}
+
+func mvmSized(rng *rand.Rand, nnz, n int) kernelCase {
 	row := make([]int32, nnz)
 	col := make([]int32, nnz)
 	a := make([]float64, nnz)
@@ -124,7 +127,10 @@ func mvmKernelCase(seed int64) kernelCase {
 
 func eulerKernelCase(seed int64) kernelCase {
 	rng := rand.New(rand.NewSource(seed))
-	edges, nodes := 400+rng.Intn(800), 60+rng.Intn(140)
+	return eulerSized(rng, 400+rng.Intn(800), 60+rng.Intn(140))
+}
+
+func eulerSized(rng *rand.Rand, edges, nodes int) kernelCase {
 	ia := make([]int32, 2*edges)
 	w := make([]float64, edges)
 	qs := make([][]float64, 3)
@@ -186,7 +192,10 @@ func minredKernelCase(seed int64) kernelCase {
 
 func moldynKernelCase(seed int64) kernelCase {
 	rng := rand.New(rand.NewSource(seed))
-	inter, mol := 400+rng.Intn(600), 50+rng.Intn(150)
+	return moldynSized(rng, 400+rng.Intn(600), 50+rng.Intn(150))
+}
+
+func moldynSized(rng *rand.Rand, inter, mol int) kernelCase {
 	ia := make([]int32, 2*inter)
 	for i := 0; i < inter; i++ {
 		a := rng.Intn(mol)

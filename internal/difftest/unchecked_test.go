@@ -58,7 +58,7 @@ func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([
 	if forceChecked && !nat.CheckTargets {
 		t.Fatal("ForceChecked build must keep native target checks")
 	}
-	nat.Contribs = contribs
+	nat.BatchContribs = contribs
 	if err := nat.Run(steps); err != nil {
 		t.Fatalf("native run: %v", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 // emulateClassic executes the classic owner-computes executor: local
@@ -145,7 +147,7 @@ func TestClassicEquivalenceProperty(t *testing.T) {
 		contrib := func(i, r int) float64 { return float64(i + r + 1) }
 		return almostEqual(emulateClassic(cfg, cs, contrib), sequential(cfg, ind, contrib))
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

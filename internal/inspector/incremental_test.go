@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 // mutateInd flips n random entries of the indirection arrays and returns
@@ -189,7 +191,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 		contrib := func(i, r int) float64 { return float64(i + r*1000) }
 		return almostEqual(emulateScheds(cfg, scheds, contrib), sequential(cfg, ind, contrib))
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

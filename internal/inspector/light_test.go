@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 // emulate executes one sweep of the phase machine for every processor and
@@ -321,7 +323,7 @@ func TestLightEquivalenceProperty(t *testing.T) {
 		}
 		return almostEqual(got, sequential(cfg, ind, contrib))
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestScheduleRoundTrip(t *testing.T) {
@@ -158,7 +160,7 @@ func TestScheduleSerializationProperty(t *testing.T) {
 		}
 		return got.Check(ind...) == nil && got.NumIters() == s.NumIters()
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +252,7 @@ func TestScheduleRoundTripAllFieldsProperty(t *testing.T) {
 		}
 		return got.Check(ind...) == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // This file compiles IRL expressions to a small stack bytecode so that
-// per-iteration evaluation inside the phase runtime runs without AST
-// walking or map lookups — the role the EARTH-C backend's code generation
-// played. A Code object evaluates a loop's scalar definitions and a set of
-// result expressions for one iteration.
+// evaluation inside the phase runtime runs without AST walking or map
+// lookups — the role the EARTH-C backend's code generation played. A Code
+// object evaluates a loop's scalar definitions and a set of result
+// expressions for a block of iterations at a time.
 
 type opcode uint8
 
@@ -52,7 +52,7 @@ type check struct {
 	msg string // "pos: ref" used in fault reports
 }
 
-// Code is a compiled per-iteration evaluator.
+// Code is a compiled evaluator over blocks of iterations.
 type Code struct {
 	prog   []instr
 	consts []float64
@@ -61,10 +61,17 @@ type Code struct {
 	checks []check
 	nRegs  int
 	nOut   int
-	stack  []float64
-	regs   []float64
-	err    error // first range fault, nil while clean
+	depth  int       // maximum operand-stack depth of prog
+	stack  []float64 // depth vectors of BatchLen lanes
+	regs   []float64 // nRegs vectors of BatchLen lanes
+	one    [1]int32  // Eval's one-iteration block
+	err    error     // first range fault, nil while clean
 }
+
+// BatchLen is the number of iterations one pass of the evaluator covers:
+// the lane count of its vector stack and registers. EvalBatch splits
+// longer blocks into passes of this length.
+const BatchLen = 256
 
 // CompileOpts controls bounds-check emission.
 type CompileOpts struct {
@@ -118,10 +125,31 @@ func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpt
 		checks: c.checks,
 		nRegs:  len(c.regOf),
 		nOut:   len(results),
+		depth:  maxDepth(c.prog),
 	}
-	code.stack = make([]float64, 0, 16)
-	code.regs = make([]float64, code.nRegs)
+	code.alloc()
 	return code, nil
+}
+
+// maxDepth is the deepest the operand stack gets while running prog.
+func maxDepth(prog []instr) int {
+	d, deepest := 0, 0
+	for _, in := range prog {
+		switch in.op {
+		case opConst, opIter, opReg:
+			d++
+		case opAdd, opSub, opMul, opDiv, opMin, opMax, opStore, opResult:
+			d--
+		}
+		deepest = max(deepest, d)
+	}
+	return deepest
+}
+
+// alloc gives the evaluator its private vector stack and registers.
+func (c *Code) alloc() {
+	c.stack = make([]float64, c.depth*BatchLen)
+	c.regs = make([]float64, c.nRegs*BatchLen)
 }
 
 // Clone returns an independent evaluator sharing the immutable program and
@@ -129,13 +157,12 @@ func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpt
 // starts with a clean fault state.
 func (c *Code) Clone() *Code {
 	out := *c
-	out.stack = make([]float64, 0, 16)
-	out.regs = make([]float64, c.nRegs)
+	out.alloc()
 	out.err = nil
 	return &out
 }
 
-// NumResults reports how many output values Eval produces.
+// NumResults reports how many output values Eval produces per iteration.
 func (c *Code) NumResults() int { return c.nOut }
 
 // NumChecks reports how many range-check sites the compiled code carries;
@@ -148,92 +175,172 @@ func (c *Code) NumChecks() int { return len(c.checks) }
 // independently.
 func (c *Code) Err() error { return c.err }
 
-// fault records the first out-of-range access.
-func (c *Code) fault(ck *check, v float64) {
-	if c.err == nil {
-		c.err = fmt.Errorf("interp: %s: subscript %v out of range [0, %d)", ck.msg, v, ck.ext)
+// Eval runs the program for iteration i, writing the results into out
+// (len >= NumResults). It is EvalBatch over a one-iteration block.
+func (c *Code) Eval(i int, out []float64) {
+	c.one[0] = int32(i)
+	c.EvalBatch(c.one[:], out)
+}
+
+// EvalBatch runs the program for every iteration in iters, writing the
+// results iteration-major: out[j*NumResults()+r] is result r of iters[j]
+// (len(out) >= len(iters)*NumResults()). Each instruction runs across a
+// pass of up to BatchLen iterations before the next one starts, so
+// dispatch is paid once per pass rather than once per iteration. The
+// results, and the first fault recorded, are those of evaluating the
+// iterations one by one in order.
+func (c *Code) EvalBatch(iters []int32, out []float64) {
+	for lo := 0; lo < len(iters); lo += BatchLen {
+		hi := min(lo+BatchLen, len(iters))
+		c.pass(iters[lo:hi], out[lo*c.nOut:hi*c.nOut])
 	}
 }
 
-// Eval runs the program for iteration i, writing the results into out
-// (len >= NumResults). Index bounds are checked by the slice accesses.
-func (c *Code) Eval(i int, out []float64) {
-	s := c.stack[:0]
-	fi := float64(i)
+// firstFault tracks the fault iteration-by-iteration execution of a pass
+// would record first: the lowest lane wins, and among equal lanes the
+// earliest instruction (instructions run in order, so a later one never
+// displaces an earlier one at the same lane).
+type firstFault struct {
+	lane int
+	ck   *check
+	v    float64
+}
+
+func (f *firstFault) note(lane int, ck *check, v float64) {
+	if lane < f.lane {
+		*f = firstFault{lane: lane, ck: ck, v: v}
+	}
+}
+
+// pass evaluates one block of at most BatchLen iterations.
+func (c *Code) pass(iters []int32, out []float64) {
+	n := len(iters)
+	vec := func(k int) []float64 { return c.stack[k*BatchLen : k*BatchLen+n] }
+	ff := firstFault{lane: n}
+	sp := 0 // operand-stack depth
 	for _, in := range c.prog {
 		switch in.op {
 		case opConst:
-			s = append(s, c.consts[in.a])
+			d, v := vec(sp), c.consts[in.a]
+			for j := range d {
+				d[j] = v
+			}
+			sp++
 		case opIter:
-			s = append(s, fi)
-		case opLoad1:
-			idx := int(s[len(s)-1])
-			s[len(s)-1] = c.f64[in.a][idx]
-		case opLoadI:
-			idx := int(s[len(s)-1])
-			s[len(s)-1] = float64(c.i32[in.a][idx])
+			d := vec(sp)
+			for j, it := range iters {
+				d[j] = float64(it)
+			}
+			sp++
 		case opReg:
-			s = append(s, c.regs[in.a])
+			copy(vec(sp), c.regs[int(in.a)*BatchLen:])
+			sp++
+		case opLoad1:
+			d, arr := vec(sp-1), c.f64[in.a]
+			for j, x := range d {
+				d[j] = arr[int(x)]
+			}
+		case opLoadI:
+			d, arr := vec(sp-1), c.i32[in.a]
+			for j, x := range d {
+				d[j] = float64(arr[int(x)])
+			}
 		case opAdd:
-			s[len(s)-2] += s[len(s)-1]
-			s = s[:len(s)-1]
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] += b[j]
+			}
 		case opSub:
-			s[len(s)-2] -= s[len(s)-1]
-			s = s[:len(s)-1]
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] -= b[j]
+			}
 		case opMul:
-			s[len(s)-2] *= s[len(s)-1]
-			s = s[:len(s)-1]
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] *= b[j]
+			}
 		case opDiv:
-			s[len(s)-2] /= s[len(s)-1]
-			s = s[:len(s)-1]
-		case opNeg:
-			s[len(s)-1] = -s[len(s)-1]
-		case opSqrt:
-			s[len(s)-1] = math.Sqrt(s[len(s)-1])
-		case opAbs:
-			s[len(s)-1] = math.Abs(s[len(s)-1])
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] /= b[j]
+			}
 		case opMin:
-			s[len(s)-2] = math.Min(s[len(s)-2], s[len(s)-1])
-			s = s[:len(s)-1]
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] = math.Min(a[j], b[j])
+			}
 		case opMax:
-			s[len(s)-2] = math.Max(s[len(s)-2], s[len(s)-1])
-			s = s[:len(s)-1]
+			sp--
+			a, b := vec(sp-1), vec(sp)
+			for j := range a {
+				a[j] = math.Max(a[j], b[j])
+			}
+		case opNeg:
+			d := vec(sp - 1)
+			for j := range d {
+				d[j] = -d[j]
+			}
+		case opSqrt:
+			d := vec(sp - 1)
+			for j := range d {
+				d[j] = math.Sqrt(d[j])
+			}
+		case opAbs:
+			d := vec(sp - 1)
+			for j := range d {
+				d[j] = math.Abs(d[j])
+			}
 		case opStore:
-			c.regs[in.a] = s[len(s)-1]
-			s = s[:len(s)-1]
+			sp--
+			copy(c.regs[int(in.a)*BatchLen:], vec(sp))
 		case opResult:
-			out[in.a] = s[len(s)-1]
-			s = s[:len(s)-1]
+			sp--
+			for j, v := range vec(sp) {
+				out[j*c.nOut+int(in.a)] = v
+			}
 		case opRange:
-			ck := &c.checks[in.a]
-			v := s[len(s)-1]
-			if !(v >= 0 && v < float64(ck.ext)) || v != math.Trunc(v) {
-				c.fault(ck, v)
-				s[len(s)-1] = 0
+			ck, d := &c.checks[in.a], vec(sp-1)
+			for j, v := range d {
+				if !(v >= 0 && v < float64(ck.ext)) || v != math.Trunc(v) {
+					ff.note(j, ck, v)
+					d[j] = 0
+				}
 			}
 		case opLoad1C:
-			ck := &c.checks[in.a]
+			ck, d := &c.checks[in.a], vec(sp-1)
 			arr := c.f64[ck.arr]
-			idx := int(s[len(s)-1])
-			if idx < 0 || idx >= len(arr) {
-				c.fault(ck, s[len(s)-1])
-				s[len(s)-1] = 0
-			} else {
-				s[len(s)-1] = arr[idx]
+			for j, x := range d {
+				idx := int(x)
+				if idx < 0 || idx >= len(arr) {
+					ff.note(j, ck, x)
+					d[j] = 0
+				} else {
+					d[j] = arr[idx]
+				}
 			}
 		case opLoadIC:
-			ck := &c.checks[in.a]
+			ck, d := &c.checks[in.a], vec(sp-1)
 			arr := c.i32[ck.arr]
-			idx := int(s[len(s)-1])
-			if idx < 0 || idx >= len(arr) {
-				c.fault(ck, s[len(s)-1])
-				s[len(s)-1] = 0
-			} else {
-				s[len(s)-1] = float64(arr[idx])
+			for j, x := range d {
+				idx := int(x)
+				if idx < 0 || idx >= len(arr) {
+					ff.note(j, ck, x)
+					d[j] = 0
+				} else {
+					d[j] = float64(arr[idx])
+				}
 			}
 		}
 	}
-	c.stack = s[:0]
+	if ff.ck != nil && c.err == nil {
+		c.err = fmt.Errorf("interp: %s: subscript %v out of range [0, %d)", ff.ck.msg, ff.v, ff.ck.ext)
+	}
 }
 
 type compiler struct {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestCacheColdMiss(t *testing.T) {
@@ -159,7 +161,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		}
 		return c.Accesses() == uint64(n)*2
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,7 +186,7 @@ func TestCacheCompulsoryProperty(t *testing.T) {
 		// 256 distinct lines at most; both caches hold 256 lines.
 		return dm.Misses == want && fa.Misses == want
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestPaperSizesExact(t *testing.T) {
@@ -143,7 +145,7 @@ func TestGenerateProperty(t *testing.T) {
 		m := Generate(nodes, edges, seed)
 		return m.NumNodes == nodes && m.NumEdges() == edges && m.Check() == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

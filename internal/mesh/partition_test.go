@@ -3,6 +3,8 @@ package mesh
 import (
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestRCBBalance(t *testing.T) {
@@ -125,7 +127,7 @@ func TestRCBProperty(t *testing.T) {
 		pt := m.RCB(p)
 		return pt.Check(m) == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,9 +45,12 @@ import (
 //     so the survivors recompute their schedules locally and resume from
 //     the checkpoint with no data exchange beyond it.
 type Distributed struct {
-	Loop     *Loop
-	Scheds   []*inspector.Schedule
-	Contribs ContribFunc
+	Loop   *Loop
+	Scheds []*inspector.Schedule
+	// Contribs or BatchContribs computes the contributions; the block
+	// form takes precedence when both are set.
+	Contribs      ContribFunc
+	BatchContribs BatchContribFunc
 
 	// Inject, when non-nil, supplies deterministic chaos: payload faults
 	// on every rotation send, stalls at phase boundaries, kernel panics,
@@ -79,6 +82,7 @@ type Distributed struct {
 	Trace *obs.Tracer
 
 	images [][]float64 // per-processor local image, LocalLen*comp
+	blocks [][]float64 // per-processor contribution blocks
 	chans  []chan payload
 	outbox [][]outSlot   // [proc][portion] retransmit buffer
 	dead   []atomic.Bool // permanently lost processors
@@ -205,7 +209,7 @@ func NewDistributedFrom(l *Loop, scheds []*inspector.Schedule) (*Distributed, er
 			return nil, fmt.Errorf("rts: schedule %d has %d references, loop has %d", p, s.NumRef, len(l.Ind))
 		}
 	}
-	d := &Distributed{Loop: l, Scheds: scheds, Trace: l.Trace}
+	d := &Distributed{Loop: l, Scheds: scheds, Trace: l.Trace, blocks: newBlocks(l)}
 	d.rebuild()
 	return d, nil
 }
@@ -282,7 +286,8 @@ func (d *Distributed) Run(steps int) ([]float64, error) {
 // after sweep s-1. Contributions are pure functions of the iteration
 // number, so replay is bit-exact.
 func (d *Distributed) RunContext(ctx context.Context, steps int) ([]float64, error) {
-	if d.Contribs == nil {
+	contribs := batched(d.BatchContribs, d.Contribs, len(d.Loop.Ind)*d.Loop.Cost.comp())
+	if contribs == nil {
 		return nil, fmt.Errorf("rts: distributed run needs Contribs")
 	}
 	// The running checkpoint: state after `sweep` completed sweeps.
@@ -296,7 +301,7 @@ func (d *Distributed) RunContext(ctx context.Context, steps int) ([]float64, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		err := d.runSweep(ctx, sweep)
+		err := d.runSweep(ctx, sweep, contribs)
 		if err == nil {
 			d.assemble(checkpoint)
 			sweep++
@@ -364,7 +369,7 @@ func (d *Distributed) degrade(checkpoint []float64) error {
 // runSweep drives all P workers through one barrier-synchronized sweep
 // and returns the most specific worker error (peer loss > panic >
 // rotation error), or nil when every worker completed.
-func (d *Distributed) runSweep(ctx context.Context, sweep int) error {
+func (d *Distributed) runSweep(ctx context.Context, sweep int, contribs BatchContribFunc) error {
 	P := d.Loop.Cfg.P
 	abort := make(chan struct{})
 	var once sync.Once
@@ -387,7 +392,7 @@ func (d *Distributed) runSweep(ctx context.Context, sweep int) error {
 	for p := 0; p < P; p++ {
 		go func(p int) {
 			defer wg.Done()
-			if err := d.sweepOne(p, sweep, abort); err != nil {
+			if err := d.sweepOne(p, sweep, contribs, abort); err != nil {
 				errs[p] = err
 				cancel()
 			}
@@ -427,7 +432,7 @@ func (d *Distributed) runSweep(ctx context.Context, sweep int) error {
 // protocol. Any error aborts the whole sweep (the caller replays or
 // degrades); a recovered payload or kernel panic never corrupts state
 // because the sweep either completes exactly or is replayed entirely.
-func (d *Distributed) sweepOne(p, sweep int, abort <-chan struct{}) (err error) {
+func (d *Distributed) sweepOne(p, sweep int, contribs BatchContribFunc, abort <-chan struct{}) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Proc: p, Value: r, Stack: debug.Stack()}
@@ -440,8 +445,8 @@ func (d *Distributed) sweepOne(p, sweep int, abort <-chan struct{}) (err error) 
 	img := d.images[p]
 	kp := cfg.NumPhases()
 	prev := (p - 1 + cfg.P) % cfg.P
+	block, w := d.blocks[p], len(l.Ind)*comp
 
-	scratch := make([]float64, len(l.Ind)*comp)
 	for ph := 0; ph < kp; ph++ {
 		select {
 		case <-abort:
@@ -477,13 +482,19 @@ func (d *Distributed) sweepOne(p, sweep int, abort <-chan struct{}) (err error) 
 				img[bb+c] = 0
 			}
 		}
-		for j, it := range prog.Iters {
-			d.Inject.KernelPanic(p, int(it))
-			d.Contribs(p, int(it), scratch)
-			for r := range prog.Ind {
-				tgt := int(prog.Ind[r][j]) * comp
-				for c := 0; c < comp; c++ {
-					img[tgt+c] += scratch[r*comp+c]
+		for lo := 0; lo < len(prog.Iters); lo += ContribBlock {
+			iters := prog.Iters[lo:min(lo+ContribBlock, len(prog.Iters))]
+			for _, it := range iters {
+				d.Inject.KernelPanic(p, int(it))
+			}
+			contribs(p, iters, block)
+			for j := range iters {
+				src := j * w
+				for r := range prog.Ind {
+					tgt := int(prog.Ind[r][lo+j]) * comp
+					for c := 0; c < comp; c++ {
+						img[tgt+c] += block[src+r*comp+c]
+					}
 				}
 			}
 		}

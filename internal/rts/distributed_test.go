@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"irred/internal/inspector"
+	"irred/internal/quickseed"
 )
 
 func TestDistributedMatchesSequential(t *testing.T) {
@@ -116,7 +117,7 @@ func TestDistributedEquivalenceProperty(t *testing.T) {
 		want := seqReduce(l, func(i, r, c int) float64 { return float64((2*r + 1) * i) })
 		return near(got, want, 1e-9)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,6 +15,40 @@ import (
 // processor (for per-processor scratch state).
 type ContribFunc func(p, i int, out []float64)
 
+// BatchContribFunc computes the contributions of a block of reduce-mode
+// iterations: out has len(iters)*NumRef*comp slots, iteration-major, each
+// iteration's slots laid out as ContribFunc's. The engines pass at most
+// ContribBlock iterations per call, and fold them in order afterwards.
+type BatchContribFunc func(p int, iters []int32, out []float64)
+
+// ContribBlock is the most iterations an engine evaluates per
+// BatchContribFunc call; each worker owns one block buffer of this many
+// iterations' contributions.
+const ContribBlock = 256
+
+// batched returns the block form of a contribution hook: b when set,
+// otherwise f evaluated one iteration at a time into the block, or nil
+// when neither is set. width is NumRef*comp.
+func batched(b BatchContribFunc, f ContribFunc, width int) BatchContribFunc {
+	if b != nil || f == nil {
+		return b
+	}
+	return func(p int, iters []int32, out []float64) {
+		for j, it := range iters {
+			f(p, int(it), out[j*width:(j+1)*width])
+		}
+	}
+}
+
+// newBlocks allocates one contribution block buffer per processor.
+func newBlocks(l *Loop) [][]float64 {
+	out := make([][]float64, l.Cfg.P)
+	for p := range out {
+		out[p] = make([]float64, min(ContribBlock, l.Cfg.NumIters)*len(l.Ind)*l.Cost.comp())
+	}
+	return out
+}
+
 // ConsumeFunc handles one gather-mode iteration: vals holds the comp
 // components of the rotated array at the iteration's reference.
 type ConsumeFunc func(p, i int, vals []float64)
@@ -38,9 +72,12 @@ type Native struct {
 	// vector.
 	X []float64
 
-	Contribs ContribFunc
-	Consume  ConsumeFunc
-	Update   UpdateFunc
+	// Contribs or BatchContribs computes reduce-mode contributions; the
+	// block form takes precedence when both are set.
+	Contribs      ContribFunc
+	BatchContribs BatchContribFunc
+	Consume       ConsumeFunc
+	Update        UpdateFunc
 
 	// Verify enables the debug execution mode: every access to the shared
 	// rotated array is checked against the ownership invariant — the target
@@ -70,10 +107,10 @@ type Native struct {
 	// measurably faster. Callers may override either way before Run.
 	CheckTargets bool
 
-	bufs       [][]float64  // per-processor remote buffers, len BufLen*comp
-	chans      []chan token // chans[p]: portions arriving at processor p
-	verifyErrs []error      // first ownership violation per processor
-	checkErrs  []error      // first range violation per processor
+	bufs   [][]float64  // per-processor remote buffers, len BufLen*comp
+	blocks [][]float64  // per-processor contribution blocks
+	chans  []chan token // chans[p]: portions arriving at processor p
+	body   *phaseBody   // the current run's phase body and violations
 }
 
 type token struct{ portion int }
@@ -122,44 +159,28 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 		X:            make([]float64, l.Cfg.NumElems*comp),
 		Trace:        l.Trace,
 		CheckTargets: !proven,
-		bufs:         make([][]float64, l.Cfg.P),
+		bufs:         newBufs(l, scheds),
+		blocks:       newBlocks(l),
 		chans:        make([]chan token, l.Cfg.P),
 	}
-	ident, _ := l.Combine.Identity()
-	for p := 0; p < l.Cfg.P; p++ {
-		n.bufs[p] = make([]float64, scheds[p].BufLen*comp)
-		fillIdent(n.bufs[p], ident)
+	for p := range n.chans {
 		n.chans[p] = make(chan token, l.Cfg.NumPhases()+1)
 	}
 	return n, nil
 }
 
-// fillIdent seeds an accumulation buffer with the combine's identity.
-// The zero value (float add) needs no work: make() already zeroed it.
-func fillIdent(buf []float64, ident float64) {
-	if ident == 0 {
-		return
+// newBufs allocates each processor's remote buffer, seeded with the
+// combine's identity (float add's zero is make's).
+func newBufs(l *Loop, scheds []*inspector.Schedule) [][]float64 {
+	ident, _ := l.Combine.Identity()
+	out := make([][]float64, len(scheds))
+	for p, s := range scheds {
+		out[p] = make([]float64, s.BufLen*l.Cost.comp())
+		for i := 0; ident != 0 && i < len(out[p]); i++ {
+			out[p][i] = ident
+		}
 	}
-	for i := range buf {
-		buf[i] = ident
-	}
-}
-
-// verifyFail records the first ownership violation seen by processor p.
-// Each processor writes only its own slot, so no lock is needed.
-func (n *Native) verifyFail(p int, format string, args ...any) {
-	if n.verifyErrs[p] == nil {
-		n.verifyErrs[p] = fmt.Errorf("rts: verify: "+format, args...)
-	}
-}
-
-// checkFail records the first range violation seen by processor p. The
-// offending access is skipped, the sweep completes, and Run reports the
-// violation — graceful degradation instead of an index panic.
-func (n *Native) checkFail(p int, format string, args ...any) {
-	if n.checkErrs[p] == nil {
-		n.checkErrs[p] = fmt.Errorf("rts: target check: "+format, args...)
-	}
+	return out
 }
 
 // Run executes steps timesteps: each is one full sweep of k*P phases
@@ -179,9 +200,10 @@ func (n *Native) Run(steps int) error {
 // reused.
 func (n *Native) RunContext(ctx context.Context, steps int) error {
 	l := n.Loop
+	contribs := batched(n.BatchContribs, n.Contribs, len(l.Ind)*l.Cost.comp())
 	switch l.Mode {
 	case Reduce:
-		if n.Contribs == nil {
+		if contribs == nil {
 			return fmt.Errorf("rts: reduce-mode native run needs Contribs")
 		}
 	case Gather:
@@ -191,12 +213,7 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 	}
 	P := l.Cfg.P
 	done := ctx.Done()
-	if n.Verify {
-		n.verifyErrs = make([]error, P)
-	}
-	if n.CheckTargets {
-		n.checkErrs = make([]error, P)
-	}
+	n.body = newPhaseBody(l, n.X, n.bufs, n.blocks, contribs, n.Consume, n.Verify, n.CheckTargets)
 	var wg sync.WaitGroup
 	if n.Update == nil {
 		// Pure accumulation: sweeps need no barrier between timesteps —
@@ -217,7 +234,7 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return n.verifyErr()
+		return n.body.err()
 	}
 	for step := 0; step < steps; step++ {
 		wg.Add(P)
@@ -245,181 +262,21 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 			return err
 		}
 	}
-	return n.verifyErr()
-}
-
-// verifyErr joins the per-processor violations after a run: ownership
-// violations from Verify mode first, then range violations from the
-// target checks.
-func (n *Native) verifyErr() error {
-	for _, err := range n.verifyErrs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, err := range n.checkErrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.body.err()
 }
 
 // sweep runs processor p through timestep step's k*P phases. done, when
 // non-nil, aborts the sweep at the next phase boundary or blocked portion
 // receive; sweep reports whether it ran to completion.
 func (n *Native) sweep(p, step int, done <-chan struct{}) bool {
-	l := n.Loop
-	cfg := l.Cfg
-	comp := l.Cost.comp()
+	cfg := n.Loop.Cfg
 	s := n.Scheds[p]
-	buf := n.bufs[p]
 	kp := cfg.NumPhases()
 	prev := (p - 1 + cfg.P) % cfg.P
 	tr := n.Trace
-
-	chk := n.CheckTargets
-	localLen := s.LocalLen()
-
-	// The fold operator. Float addition (the zero value) keeps the tight
-	// `+=` path; licensed non-Add combines fold through op.Fold with
-	// identity-seeded buffer slots.
-	op := l.Combine
-	add := op.Kind == algebra.Add
-	ident, _ := op.Identity()
-
-	scratch := make([]float64, len(l.Ind)*comp)
-	for ph := 0; ph < kp; ph++ {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		// The first k phases use home portions, pre-placed initially and
-		// re-consumed by the drain at the end of the previous sweep; later
-		// phases receive their portion from processor p+1, in phase order.
-		if ph >= cfg.K {
-			ws := tr.Begin()
-			var tok token
-			if done == nil {
-				tok = <-n.chans[p]
-			} else {
-				select {
-				case tok = <-n.chans[p]:
-				case <-done:
-					return false
-				}
-			}
-			tr.End(obs.SpanWait, p, ph, step, tok.portion, ws)
-		}
-
-		portion := cfg.PortionAt(p, ph)
-		prog := &s.Phases[ph]
-		cs := tr.Begin()
-		// Second (copy) loop: fold buffered contributions into the
-		// just-arrived portion and clear the slots for the next sweep.
-		for _, cp := range prog.Copies {
-			if n.Verify {
-				if int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
-					n.verifyFail(p, "proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, cfg.NumElems, localLen)
-					continue
-				}
-				if own := cfg.PhaseOf(p, int(cp.Elem)); own != ph {
-					n.verifyFail(p, "proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
-				}
-			}
-			if chk && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
-				int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
-				n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
-					p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
-				continue
-			}
-			eb := int(cp.Elem) * comp
-			bb := (int(cp.Buf) - cfg.NumElems) * comp
-			for c := 0; c < comp; c++ {
-				if add {
-					n.X[eb+c] += buf[bb+c]
-					buf[bb+c] = 0
-				} else {
-					n.X[eb+c] = op.Fold(n.X[eb+c], buf[bb+c])
-					buf[bb+c] = ident
-				}
-			}
-		}
-		tr.End(obs.SpanCopy, p, ph, step, portion, cs)
-
-		// Main loop.
-		ms := tr.Begin()
-		switch l.Mode {
-		case Reduce:
-			for j, it := range prog.Iters {
-				n.Contribs(p, int(it), scratch)
-				for r := range prog.Ind {
-					tgt := int(prog.Ind[r][j])
-					if chk && (tgt < 0 || tgt >= localLen) {
-						n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-						continue
-					}
-					if tgt < cfg.NumElems {
-						if n.Verify {
-							if own := cfg.PhaseOf(p, tgt); own != ph {
-								n.verifyFail(p, "proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-							}
-						}
-						for c := 0; c < comp; c++ {
-							if add {
-								n.X[tgt*comp+c] += scratch[r*comp+c]
-							} else {
-								n.X[tgt*comp+c] = op.Fold(n.X[tgt*comp+c], scratch[r*comp+c])
-							}
-						}
-					} else {
-						if n.Verify && tgt >= localLen {
-							n.verifyFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-							continue
-						}
-						bb := (tgt - cfg.NumElems) * comp
-						for c := 0; c < comp; c++ {
-							if add {
-								buf[bb+c] += scratch[r*comp+c]
-							} else {
-								buf[bb+c] = op.Fold(buf[bb+c], scratch[r*comp+c])
-							}
-						}
-					}
-				}
-			}
-		case Gather:
-			for j, it := range prog.Iters {
-				tgt := int(prog.Ind[0][j])
-				if chk && (tgt < 0 || tgt >= cfg.NumElems) {
-					n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-					continue
-				}
-				if n.Verify {
-					if tgt >= cfg.NumElems {
-						n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-						continue
-					}
-					if own := cfg.PhaseOf(p, tgt); own != ph {
-						n.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-					}
-				}
-				n.Consume(p, int(it), n.X[tgt*comp:tgt*comp+comp])
-			}
-		}
-		tr.End(obs.SpanCompute, p, ph, step, portion, ms)
-
-		// Pass the portion on to processor p-1.
-		n.chans[prev] <- token{portion: portion}
-	}
-
-	// Consume the k home portions returning at sweep end so the next
-	// sweep's first k phases find them "pre-placed" — and so Update runs
-	// only after all contributions to the home block have landed.
-	for i := 0; i < cfg.K; i++ {
+	// wait receives the next portion token, traced as phase ph's rotation
+	// wait, and reports false when done fires first.
+	wait := func(ph int) bool {
 		ws := tr.Begin()
 		var tok token
 		if done == nil {
@@ -431,7 +288,227 @@ func (n *Native) sweep(p, step int, done <-chan struct{}) bool {
 				return false
 			}
 		}
-		tr.End(obs.SpanWait, p, -1, step, tok.portion, ws)
+		tr.End(obs.SpanWait, p, ph, step, tok.portion, ws)
+		return true
+	}
+
+	for ph := 0; ph < kp; ph++ {
+		if done != nil {
+			select {
+			case <-done:
+				return false
+			default:
+			}
+		}
+		// The first k phases use home portions, pre-placed initially and
+		// re-consumed by the drain at the end of the previous sweep; later
+		// phases receive their portion from processor p+1, in phase order.
+		if ph >= cfg.K && !wait(ph) {
+			return false
+		}
+
+		portion := cfg.PortionAt(p, ph)
+		cs := tr.Begin()
+		n.body.drain(s, p, ph)
+		tr.End(obs.SpanCopy, p, ph, step, portion, cs)
+		ms := tr.Begin()
+		n.body.compute(s, p, ph)
+		tr.End(obs.SpanCompute, p, ph, step, portion, ms)
+
+		// Pass the portion on to processor p-1.
+		n.chans[prev] <- token{portion: portion}
+	}
+
+	// Consume the k home portions returning at sweep end so the next
+	// sweep's first k phases find them "pre-placed" — and so Update runs
+	// only after all contributions to the home block have landed.
+	for i := 0; i < cfg.K; i++ {
+		if !wait(-1) {
+			return false
+		}
 	}
 	return true
+}
+
+// phaseBody is the copy loop and main loop of one phase, shared by the
+// native engine and SimExec. A violating access is recorded and skipped,
+// and the phase completes.
+type phaseBody struct {
+	violations
+	l        *Loop
+	x        []float64   // the rotated array
+	bufs     [][]float64 // per-processor remote buffers
+	blocks   [][]float64 // per-processor contribution blocks
+	contribs BatchContribFunc
+	consume  ConsumeFunc
+	verify   bool // record ownership violations (Native.Verify)
+	check    bool // range-check every access (Native.CheckTargets)
+}
+
+func newPhaseBody(l *Loop, x []float64, bufs, blocks [][]float64, contribs BatchContribFunc, consume ConsumeFunc, verify, check bool) *phaseBody {
+	return &phaseBody{violations: newViolations(l.Cfg.P), l: l, x: x, bufs: bufs, blocks: blocks,
+		contribs: contribs, consume: consume, verify: verify, check: check}
+}
+
+// violations records the first ownership (Verify) and range
+// (CheckTargets) violation per processor. Each processor writes only its
+// own slot, so no lock is needed.
+type violations struct{ verifyErrs, checkErrs []error }
+
+func newViolations(procs int) violations {
+	return violations{make([]error, procs), make([]error, procs)}
+}
+
+func (v *violations) verifyFail(p int, format string, args ...any) {
+	if v.verifyErrs[p] == nil {
+		v.verifyErrs[p] = fmt.Errorf("rts: verify: "+format, args...)
+	}
+}
+
+func (v *violations) checkFail(p int, format string, args ...any) {
+	if v.checkErrs[p] == nil {
+		v.checkErrs[p] = fmt.Errorf("rts: target check: "+format, args...)
+	}
+}
+
+// err reports the first recorded violation: ownership violations first,
+// then range violations, each in processor order.
+func (v *violations) err() error {
+	for _, err := range append(v.verifyErrs, v.checkErrs...) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drain is the second (copy) loop of processor p's phase ph: it folds the
+// buffered contributions into the just-arrived portion and resets the
+// slots for the next sweep.
+func (b *phaseBody) drain(s *inspector.Schedule, p, ph int) {
+	cfg, buf := b.l.Cfg, b.bufs[p]
+	comp := b.l.Cost.comp()
+	localLen := s.LocalLen()
+	op := b.l.Combine
+	add := op.Kind == algebra.Add
+	ident, _ := op.Identity()
+	for _, cp := range s.Phases[ph].Copies {
+		if b.verify && (int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
+			b.verifyFail(p, "proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, cfg.NumElems, localLen)
+			continue
+		}
+		if b.verify && cfg.PhaseOf(p, int(cp.Elem)) != ph {
+			b.verifyFail(p, "proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, cfg.PhaseOf(p, int(cp.Elem)))
+		}
+		if b.check && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
+			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
+			b.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
+				p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
+			continue
+		}
+		eb := int(cp.Elem) * comp
+		bb := (int(cp.Buf) - cfg.NumElems) * comp
+		for c := 0; c < comp; c++ {
+			if add {
+				b.x[eb+c] += buf[bb+c]
+				buf[bb+c] = 0
+			} else {
+				b.x[eb+c] = op.Fold(b.x[eb+c], buf[bb+c])
+				buf[bb+c] = ident
+			}
+		}
+	}
+}
+
+// compute is the main loop of processor p's phase ph. Reduce mode
+// evaluates contributions a block of at most ContribBlock iterations at a
+// time into p's block buffer, then folds them iteration by iteration in
+// phase order — the fold order of evaluating one iteration at a time.
+// Gather mode consumes one iteration at a time.
+func (b *phaseBody) compute(s *inspector.Schedule, p, ph int) {
+	l, cfg, buf, block := b.l, b.l.Cfg, b.bufs[p], b.blocks[p]
+	comp := l.Cost.comp()
+	localLen := s.LocalLen()
+	op := l.Combine
+	prog := &s.Phases[ph]
+	switch l.Mode {
+	case Reduce:
+		if b.contribs == nil {
+			return
+		}
+		// Float addition without ownership checks, the common case, folds
+		// through a loop with nothing in it but the optional range check.
+		fast := op.Kind == algebra.Add && !b.verify
+		x, nelems, check, w := b.x, cfg.NumElems, b.check, len(prog.Ind)*comp
+		for lo := 0; lo < len(prog.Iters); lo += ContribBlock {
+			iters := prog.Iters[lo:min(lo+ContribBlock, len(prog.Iters))]
+			b.contribs(p, iters, block)
+			if fast {
+				for j, it := range iters {
+					src := j * w
+					for r := range prog.Ind {
+						tgt := int(prog.Ind[r][lo+j])
+						if check && (tgt < 0 || tgt >= localLen) {
+							b.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
+							continue
+						}
+						if tgt < nelems {
+							for c := 0; c < comp; c++ {
+								x[tgt*comp+c] += block[src+r*comp+c]
+							}
+						} else {
+							for c, bb := 0, (tgt-nelems)*comp; c < comp; c++ {
+								buf[bb+c] += block[src+r*comp+c]
+							}
+						}
+					}
+				}
+				continue
+			}
+			for j, it := range iters {
+				src := j * w
+				for r := range prog.Ind {
+					tgt := int(prog.Ind[r][lo+j])
+					if check && (tgt < 0 || tgt >= localLen) {
+						b.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
+						continue
+					}
+					acc, at := x, tgt*comp
+					if tgt < nelems {
+						if b.verify && cfg.PhaseOf(p, tgt) != ph {
+							b.verifyFail(p, "proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, cfg.PhaseOf(p, tgt))
+						}
+					} else {
+						if b.verify && tgt >= localLen {
+							b.verifyFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
+							continue
+						}
+						acc, at = buf, (tgt-nelems)*comp
+					}
+					for c := 0; c < comp; c++ {
+						acc[at+c] = op.Fold(acc[at+c], block[src+r*comp+c])
+					}
+				}
+			}
+		}
+	case Gather:
+		if b.consume == nil {
+			return
+		}
+		for j, it := range prog.Iters {
+			tgt := int(prog.Ind[0][j])
+			if b.check && (tgt < 0 || tgt >= cfg.NumElems) {
+				b.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
+				continue
+			}
+			if b.verify && tgt >= cfg.NumElems {
+				b.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
+				continue
+			}
+			if b.verify && cfg.PhaseOf(p, tgt) != ph {
+				b.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, cfg.PhaseOf(p, tgt))
+			}
+			b.consume(p, int(it), b.x[tgt*comp:tgt*comp+comp])
+		}
+	}
 }

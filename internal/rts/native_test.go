@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"irred/internal/inspector"
+	"irred/internal/quickseed"
 )
 
 func randLoop(rng *rand.Rand, p, k, iters, elems, refs int, dist inspector.Dist, comp int) *Loop {
@@ -242,7 +243,7 @@ func TestNativeEquivalenceProperty(t *testing.T) {
 		want := seqReduce(l, func(i, r, c int) float64 { return float64((r + 1) * i) })
 		return near(n.X, want, 1e-9)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,11 +1,6 @@
 package rts
 
-import (
-	"fmt"
-
-	"irred/internal/algebra"
-	"irred/internal/inspector"
-)
+import "irred/internal/inspector"
 
 // SimExec attaches real computation to a simulated run: each phase fiber,
 // on completion, executes its phase program (copy loop + main loop) against
@@ -16,9 +11,10 @@ import (
 // wiring (slots, portion routing, home returns), not just the native
 // engine's.
 type SimExec struct {
-	// Contribs computes reduce-mode contributions (reference-major,
-	// comp-minor), as in the native engine.
-	Contribs ContribFunc
+	// Contribs or BatchContribs computes reduce-mode contributions, as in
+	// the native engine; the block form takes precedence when both are set.
+	Contribs      ContribFunc
+	BatchContribs BatchContribFunc
 	// Consume handles gather-mode iterations.
 	Consume ConsumeFunc
 	// Update runs per processor at each timestep boundary.
@@ -34,123 +30,22 @@ type SimExec struct {
 	// the run, and is reported by RunSim.
 	Verify bool
 
-	bufs    [][]float64
-	scratch [][]float64
-	err     error
+	body *phaseBody
 }
 
 // Err reports the first ownership violation of a verify run, or nil.
-func (ex *SimExec) Err() error { return ex.err }
-
-// fail records the first violation; the sim engine is single-threaded, so
-// no locking is needed.
-func (ex *SimExec) fail(format string, args ...any) {
-	if ex.err == nil {
-		ex.err = fmt.Errorf("rts: verify: "+format, args...)
+func (ex *SimExec) Err() error {
+	if ex.body == nil {
+		return nil
 	}
+	return ex.body.err()
 }
 
 // prepare sizes the execution state for the given loop and schedules.
 func (ex *SimExec) prepare(l *Loop, scheds []*inspector.Schedule) {
-	comp := l.Cost.comp()
 	if ex.X == nil {
-		ex.X = make([]float64, l.Cfg.NumElems*comp)
+		ex.X = make([]float64, l.Cfg.NumElems*l.Cost.comp())
 	}
-	ident, _ := l.Combine.Identity()
-	ex.bufs = make([][]float64, l.Cfg.P)
-	ex.scratch = make([][]float64, l.Cfg.P)
-	for p := range ex.bufs {
-		ex.bufs[p] = make([]float64, scheds[p].BufLen*comp)
-		fillIdent(ex.bufs[p], ident)
-		ex.scratch[p] = make([]float64, len(l.Ind)*comp)
-	}
-}
-
-// runPhase executes processor p's phase ph against the shared data.
-func (ex *SimExec) runPhase(l *Loop, s *inspector.Schedule, p, ph int) {
-	comp := l.Cost.comp()
-	buf := ex.bufs[p]
-	prog := &s.Phases[ph]
-	op := l.Combine
-	add := op.Kind == algebra.Add
-	ident, _ := op.Identity()
-	for _, cp := range prog.Copies {
-		if ex.Verify {
-			if int(cp.Buf) < l.Cfg.NumElems || int(cp.Buf) >= s.LocalLen() {
-				ex.fail("proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, l.Cfg.NumElems, s.LocalLen())
-				continue
-			}
-			if own := l.Cfg.PhaseOf(p, int(cp.Elem)); own != ph {
-				ex.fail("proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
-			}
-		}
-		eb := int(cp.Elem) * comp
-		bb := (int(cp.Buf) - l.Cfg.NumElems) * comp
-		for c := 0; c < comp; c++ {
-			if add {
-				ex.X[eb+c] += buf[bb+c]
-				buf[bb+c] = 0
-			} else {
-				ex.X[eb+c] = op.Fold(ex.X[eb+c], buf[bb+c])
-				buf[bb+c] = ident
-			}
-		}
-	}
-	switch l.Mode {
-	case Reduce:
-		if ex.Contribs == nil {
-			return
-		}
-		scratch := ex.scratch[p]
-		for j, it := range prog.Iters {
-			ex.Contribs(p, int(it), scratch)
-			for r := range prog.Ind {
-				tgt := int(prog.Ind[r][j])
-				if tgt < l.Cfg.NumElems {
-					if ex.Verify {
-						if own := l.Cfg.PhaseOf(p, tgt); own != ph {
-							ex.fail("proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-						}
-					}
-					for c := 0; c < comp; c++ {
-						if add {
-							ex.X[tgt*comp+c] += scratch[r*comp+c]
-						} else {
-							ex.X[tgt*comp+c] = op.Fold(ex.X[tgt*comp+c], scratch[r*comp+c])
-						}
-					}
-				} else {
-					if ex.Verify && tgt >= s.LocalLen() {
-						ex.fail("proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, s.LocalLen())
-						continue
-					}
-					bb := (tgt - l.Cfg.NumElems) * comp
-					for c := 0; c < comp; c++ {
-						if add {
-							buf[bb+c] += scratch[r*comp+c]
-						} else {
-							buf[bb+c] = op.Fold(buf[bb+c], scratch[r*comp+c])
-						}
-					}
-				}
-			}
-		}
-	case Gather:
-		if ex.Consume == nil {
-			return
-		}
-		for j, it := range prog.Iters {
-			tgt := int(prog.Ind[0][j])
-			if ex.Verify {
-				if tgt >= l.Cfg.NumElems {
-					ex.fail("proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, l.Cfg.NumElems)
-					continue
-				}
-				if own := l.Cfg.PhaseOf(p, tgt); own != ph {
-					ex.fail("proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-				}
-			}
-			ex.Consume(p, int(it), ex.X[tgt*comp:tgt*comp+comp])
-		}
-	}
+	contribs := batched(ex.BatchContribs, ex.Contribs, len(l.Ind)*l.Cost.comp())
+	ex.body = newPhaseBody(l, ex.X, newBufs(l, scheds), newBlocks(l), contribs, ex.Consume, ex.Verify, false)
 }

@@ -156,7 +156,8 @@ func runSimScheds(l *Loop, scheds []*inspector.Schedule, opt SimOptions) (*SimRe
 				t, p, ph := t, p, ph
 				body := func(ctx *earth.Ctx) {
 					if opt.Exec != nil {
-						opt.Exec.runPhase(l, scheds[p], p, ph)
+						opt.Exec.body.drain(scheds[p], p, ph)
+						opt.Exec.body.compute(scheds[p], p, ph)
 						if err := opt.Exec.Err(); err != nil {
 							// Verify mode: abort the simulation on the
 							// first ownership violation.

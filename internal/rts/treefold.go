@@ -31,16 +31,21 @@ type TreeFold struct {
 	// rotation engine's accumulate-on-top semantics.
 	X []float64
 
-	Contribs ContribFunc
-	Update   UpdateFunc
+	// Contribs or BatchContribs computes the contributions; the block
+	// form takes precedence when both are set.
+	Contribs      ContribFunc
+	BatchContribs BatchContribFunc
+	Update        UpdateFunc
 
 	// CheckTargets range-checks every private-image write, mirroring the
 	// native engine: on by default, elided when the loop carries a bounds
 	// proof covering the indirection contents.
 	CheckTargets bool
 
-	accs      [][]float64 // per-worker private images, identity-seeded
-	checkErrs []error
+	accs   [][]float64 // per-worker private images, identity-seeded
+	blocks [][]float64 // per-worker contribution blocks
+	iters  [][]int32   // per-worker iteration blocks
+	violations
 }
 
 // NewTreeFold prepares a tree-fold run. lic must grant TreeFoldLegal for
@@ -71,19 +76,14 @@ func NewTreeFold(l *Loop, lic *dataflow.License) (*TreeFold, error) {
 		X:            make([]float64, l.Cfg.NumElems*comp),
 		CheckTargets: !proven,
 		accs:         make([][]float64, l.Cfg.P),
+		blocks:       newBlocks(l),
+		iters:        make([][]int32, l.Cfg.P),
 	}
 	for p := range t.accs {
 		t.accs[p] = make([]float64, l.Cfg.NumElems*comp)
+		t.iters[p] = make([]int32, min(ContribBlock, l.Cfg.NumIters))
 	}
 	return t, nil
-}
-
-// checkFail records the first range violation seen by worker p. The
-// offending write is skipped and Run reports the violation afterwards.
-func (t *TreeFold) checkFail(p int, format string, args ...any) {
-	if t.checkErrs[p] == nil {
-		t.checkErrs[p] = fmt.Errorf("rts: target check: "+format, args...)
-	}
 }
 
 // Run executes steps timesteps. Each is one parallel sweep (workers fold
@@ -92,19 +92,19 @@ func (t *TreeFold) checkFail(p int, format string, args ...any) {
 // under a full barrier.
 func (t *TreeFold) Run(steps int) error {
 	l := t.Loop
-	if t.Contribs == nil {
-		return fmt.Errorf("rts: tree-fold run needs Contribs")
-	}
 	P := l.Cfg.P
 	comp := l.Cost.comp()
+	w := len(l.Ind) * comp
+	contribs := batched(t.BatchContribs, t.Contribs, w)
+	if contribs == nil {
+		return fmt.Errorf("rts: tree-fold run needs Contribs")
+	}
 	op := l.Combine
 	ident, _ := op.Identity()
 	nelems := l.Cfg.NumElems
 	niters := l.Cfg.NumIters
 	chunk := (niters + P - 1) / P
-	if t.CheckTargets {
-		t.checkErrs = make([]error, P)
-	}
+	t.violations = newViolations(P) // a violating write is skipped
 
 	var wg sync.WaitGroup
 	for step := 0; step < steps; step++ {
@@ -119,19 +119,25 @@ func (t *TreeFold) Run(steps int) error {
 				for i := range acc {
 					acc[i] = ident
 				}
-				scratch := make([]float64, len(l.Ind)*comp)
-				lo := p * chunk
-				hi := min(lo+chunk, niters)
-				for i := lo; i < hi; i++ {
-					t.Contribs(p, i, scratch)
-					for r := range l.Ind {
-						tgt := int(l.Ind[r][i])
-						if t.CheckTargets && (tgt < 0 || tgt >= nelems) {
-							t.checkFail(p, "worker %d: iteration %d writes %d outside the reduction array [0,%d)", p, i, tgt, nelems)
-							continue
-						}
-						for c := 0; c < comp; c++ {
-							acc[tgt*comp+c] = op.Fold(acc[tgt*comp+c], scratch[r*comp+c])
+				block, iters := t.blocks[p], t.iters[p]
+				hi := min((p+1)*chunk, niters)
+				for lo := p * chunk; lo < hi; lo += len(iters) {
+					iters = iters[:min(cap(iters), hi-lo)]
+					for j := range iters {
+						iters[j] = int32(lo + j)
+					}
+					contribs(p, iters, block)
+					for j, it := range iters {
+						src, i := j*w, int(it)
+						for r := range l.Ind {
+							tgt := int(l.Ind[r][i])
+							if t.CheckTargets && (tgt < 0 || tgt >= nelems) {
+								t.checkFail(p, "worker %d: iteration %d writes %d outside the reduction array [0,%d)", p, i, tgt, nelems)
+								continue
+							}
+							for c := 0; c < comp; c++ {
+								acc[tgt*comp+c] = op.Fold(acc[tgt*comp+c], block[src+r*comp+c])
+							}
 						}
 					}
 				}
@@ -171,10 +177,5 @@ func (t *TreeFold) Run(steps int) error {
 			wg.Wait()
 		}
 	}
-	for _, err := range t.checkErrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.err()
 }

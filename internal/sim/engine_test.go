@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -130,7 +132,7 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		return end == maxd
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +191,7 @@ func TestServerMakespanProperty(t *testing.T) {
 		}
 		return e.Run() == sum
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"irred/internal/quickseed"
 )
 
 func TestGenerateClassS(t *testing.T) {
@@ -130,7 +132,7 @@ func TestIntnBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +148,7 @@ func TestGenerateProperty(t *testing.T) {
 		m := Generate(Class{Name: "q", N: n, NNZ: nnz}, seed)
 		return m.Check() == nil && m.NNZ() == nnz
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, quickseed.Config(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }
