@@ -62,7 +62,8 @@ type Plan struct {
 
 	// codes holds the per-processor bytecode evaluators of the most recent
 	// BuildLoop, so runtime faults recorded by checked execution can be
-	// surfaced after a run (RuntimeErr).
+	// surfaced after a run (RuntimeErr). Each BuildLoop makes a new slice;
+	// a Runner keeps its own.
 	codes []*interp.Code
 }
 
@@ -305,25 +306,25 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	}
 
 	// Each reference's contribution lands in its slot of an iteration's
-	// NumRef*comp outputs: reference r, component of its array. The slots
-	// and signs are resolved here, once.
+	// NumRef*comp outputs: reference r, component of its array. The
+	// compiled body writes every contribution straight into its slot,
+	// with a subtracting reference's sign folded into its expression.
 	comp := len(arrays)
 	exprs := make([]lang.Expr, len(reds))
 	slots := make([]int, len(reds))
-	signs := make([]float64, len(reds))
 	for r, red := range reds {
 		exprs[r] = red.RHS
-		slots[r] = r*comp + sort.SearchStrings(arrays, red.Array)
-		signs[r] = 1
 		if red.Negate {
-			signs[r] = -1
+			exprs[r] = &lang.UnExpr{X: red.RHS, Pos: red.RHS.Position()}
 		}
+		slots[r] = r*comp + sort.SearchStrings(arrays, red.Array)
 	}
 	// Compile the body to bytecode once; each simulated processor gets an
-	// independent evaluator (private vector stack and registers) plus a
-	// private block of results. Range checks are elided per reference
-	// exactly where the proof covers the access.
-	copts := interp.CompileOpts{}
+	// independent evaluator (private vector stack and registers). Range
+	// checks are elided per reference exactly where the proof covers the
+	// access.
+	width := len(reds) * comp
+	copts := interp.CompileOpts{Stride: width, Slots: slots}
 	if !bopts.ForceChecked {
 		copts.Unchecked = facts.RefProven
 	}
@@ -331,39 +332,26 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	if err != nil {
 		return nil, nil, err
 	}
-	type evalState struct {
-		code *interp.Code
-		vals []float64
-	}
-	states := make([]evalState, procs)
-	p.codes = p.codes[:0]
-	for q := range states {
+	codes := make([]*interp.Code, procs)
+	for q := range codes {
+		codes[q] = code
 		if q > 0 {
-			code = code.Clone()
+			codes[q] = code.Clone()
 		}
-		states[q] = evalState{code: code, vals: make([]float64, min(rts.ContribBlock, hi)*len(reds))}
-		p.codes = append(p.codes, code)
 	}
+	p.codes = codes
 	// Unwritten slots must hold the combine's identity, not zero: with
 	// packed components, reference r contributes nothing to the other
 	// components, and "nothing" is the identity of the fold.
 	ident, _ := p.Combine.Identity()
-	width := len(reds) * comp
 	contribs := func(proc int, iters []int32, out []float64) {
-		st := &states[proc]
-		st.code.EvalBatch(iters, st.vals)
-		out = out[:len(iters)*width]
 		if comp > 1 {
+			out = out[:len(iters)*width]
 			for j := range out {
 				out[j] = ident
 			}
 		}
-		for j := range iters {
-			vals, o := st.vals[j*len(reds):], out[j*width:]
-			for r, slot := range slots {
-				o[slot] = signs[r] * vals[r]
-			}
-		}
+		codes[proc].EvalBatch(iters, out)
 	}
 	return loop, contribs, nil
 }
@@ -401,9 +389,12 @@ func (p *Plan) ComputeFacts(env *interp.Env) *dataflow.Facts {
 // checked bytecode during runs since the last BuildLoop, or nil. Proven
 // (unchecked) accesses never fault; unproven accesses clamp to a safe
 // index, finish the run, and surface here.
-func (p *Plan) RuntimeErr() error {
+func (p *Plan) RuntimeErr() error { return codesErr(p.codes) }
+
+// codesErr joins the range faults recorded by a set of evaluators.
+func codesErr(codes []*interp.Code) error {
 	var errs []error
-	for _, c := range p.codes {
+	for _, c := range codes {
 		if err := c.Err(); err != nil {
 			errs = append(errs, err)
 		}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,23 +175,7 @@ func TestRunnerStepReportsRangeFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bind := func(env *interp.Env) {
-		env.SetParam("nnz", 4)
-		env.SetParam("n", 4)
-		for name, v := range map[string][]int32{"row": {0, 1, 2, 3}, "col": {0, 1, 2, 99}} {
-			if err := env.BindInt(name, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for name, v := range map[string][]float64{"a": {1, 2, 3, 4}, "x": {5, 6, 7, 8}} {
-			if err := env.BindFloat(name, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := env.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bind := func(env *interp.Env) { bindMVM4(t, env, []int32{0, 1, 2, 99}) }
 	ref := interp.NewEnv(u.Source)
 	bind(ref)
 	if err := ref.Run(); err == nil {
@@ -211,5 +196,55 @@ func TestRunnerStepReportsRangeFault(t *testing.T) {
 	}
 	if perr := u.Plans[0].RuntimeErr(); perr == nil || perr.Error() != err.Error() {
 		t.Errorf("Step error %v, plan RuntimeErr %v", err, perr)
+	}
+}
+
+// bindMVM4 binds a 4x4 MVMIRL instance with the given column indices.
+func bindMVM4(t *testing.T, env *interp.Env, col []int32) {
+	t.Helper()
+	env.SetParam("nnz", 4)
+	env.SetParam("n", 4)
+	for name, v := range map[string][]int32{"row": {0, 1, 2, 3}, "col": col} {
+		if err := env.BindInt(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, v := range map[string][]float64{"a": {1, 2, 3, 4}, "x": {5, 6, 7, 8}} {
+		if err := env.BindFloat(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := env.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunnerFaultIsItsOwn: two runners built from one Unit each report
+// their own evaluators' faults. A faulting runner built before a clean one
+// must still fail its step, and the clean one must not inherit the fault.
+func TestRunnerFaultIsItsOwn(t *testing.T) {
+	u, err := Compile(kernels.MVMIRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := func(col []int32) *Runner {
+		env := interp.NewEnv(u.Fissioned)
+		bindMVM4(t, env, col)
+		r, err := u.NewRunner(env, 2, 1, inspector.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	bad := runner([]int32{0, 1, 2, 99})
+	good := runner([]int32{0, 1, 2, 3})
+	if err := bad.Step(); err == nil {
+		t.Fatalf("faulting runner stepped clean; y = %v", bad.Env.Floats["y"])
+	}
+	if err := good.Step(); err != nil {
+		t.Fatalf("clean runner failed with another runner's fault: %v", err)
+	}
+	if got, want := good.Env.Floats["y"], []float64{5, 12, 21, 32}; !slices.Equal(got, want) {
+		t.Errorf("clean runner y = %v, want %v", got, want)
 	}
 }

@@ -27,6 +27,7 @@ type Runner struct {
 type runnerPlan struct {
 	plan   *Plan
 	native *rts.Native
+	codes  []*interp.Code // this runner's evaluators, for range faults
 }
 
 // RunnerOpts controls schedule sharing across the program's plans.
@@ -80,6 +81,9 @@ func (u *Unit) NewRunnerOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 			if err != nil {
 				return nil, err
 			}
+			// The plan's evaluators are those of its latest build, which
+			// may belong to another runner by the time this one steps.
+			rp.codes = p.codes
 			key := inspector.ScheduleKey(loop.Cfg, loop.Ind...)
 			var scheds []*inspector.Schedule
 			if reuse != nil && reuse.ReuseOf(i) >= 0 {
@@ -143,7 +147,7 @@ func (r *Runner) Step() error {
 		}
 		// A checked access that faulted was clamped so the sweep could
 		// finish; the step still failed.
-		if err := rp.plan.RuntimeErr(); err != nil {
+		if err := codesErr(rp.codes); err != nil {
 			return err
 		}
 		if err := rp.plan.Scatter(r.Env, rp.native.X); err != nil {

@@ -267,6 +267,88 @@ func TestEvalBatchMatchesTreeWalker(t *testing.T) {
 	}
 }
 
+// TestEvalBatchLayout: an explicit Stride and Slots put each result at its
+// slot of the iteration's outputs, bitwise as in the dense layout, and
+// leave the slots no result names as they were.
+func TestEvalBatchLayout(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		c := newBatchCase(t, seed, nil)
+		r := len(c.exprs)
+		dense, err := c.env.CompileIter(c.loop, c.exprs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride, slots := 2*r+1, make([]int, r)
+		for k := range slots {
+			slots[k] = 2 * (r - 1 - k) // reversed, every other slot
+		}
+		spread, err := c.env.CompileIterOpts(c.loop, c.exprs, CompileOpts{Stride: stride, Slots: slots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spread.Stride() != stride || spread.NumResults() != r {
+			t.Fatalf("Stride %d NumResults %d, want %d %d", spread.Stride(), spread.NumResults(), stride, r)
+		}
+		want, got := make([]float64, len(c.order)*r), make([]float64, len(c.order)*stride)
+		for j := range got {
+			got[j] = -7
+		}
+		dense.EvalBatch(c.order, want)
+		spread.EvalBatch(c.order, got)
+		named := map[int]int{}
+		for k, s := range slots {
+			named[s] = k
+		}
+		for j := range c.order {
+			for s := 0; s < stride; s++ {
+				g := got[j*stride+s]
+				if k, ok := named[s]; ok && !sameBits(g, want[j*r+k]) {
+					t.Fatalf("seed %d: iteration %d result %d = %v at slot %d, dense %v", seed, c.order[j], k, g, s, want[j*r+k])
+				} else if !ok && g != -7 {
+					t.Fatalf("seed %d: iteration %d wrote unnamed slot %d", seed, c.order[j], s)
+				}
+			}
+		}
+	}
+	c := newBatchCase(t, 1, nil)
+	if _, err := c.env.CompileIterOpts(c.loop, c.exprs, CompileOpts{Stride: 1, Slots: []int{0, 1}}); err == nil {
+		t.Error("a slot outside the stride must not compile")
+	}
+}
+
+// TestRegistersReused: a scalar's register is free after its last read,
+// so a chain of scalars each read only by the next needs one register.
+func TestRegistersReused(t *testing.T) {
+	prog, err := lang.Parse("param n\narray x[n]\narray y[n]\nloop i = 0, n {\n    a = x[i] * 2\n    b = a + 1\n    c = b * b\n    d = c - a0\n    y[i] += d\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(prog)
+	env.SetParam("n", 3)
+	env.SetParam("a0", 1)
+	if err := env.BindFloat("x", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	loop := prog.Loops[0]
+	code, err := env.CompileIter(loop, []lang.Expr{loop.Body[4].RHS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code.nRegs != 1 {
+		t.Errorf("chain of four scalars uses %d registers, want 1", code.nRegs)
+	}
+	got := make([]float64, 3)
+	code.EvalBatch([]int32{0, 1, 2}, got)
+	for i, want := range []float64{8, 24, 48} {
+		if got[i] != want {
+			t.Errorf("iteration %d = %v, want %v", i, got[i], want)
+		}
+	}
+}
+
 // TestEvalBatchFirstFault places out-of-range subscripts at block
 // boundaries and inside blocks; the recorded fault must be the one of the
 // first faulting iteration in order, whichever instruction faults in

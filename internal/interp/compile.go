@@ -61,6 +61,7 @@ type Code struct {
 	checks []check
 	nRegs  int
 	nOut   int
+	stride int       // output slots per iteration (opResult's a is the slot)
 	depth  int       // maximum operand-stack depth of prog
 	stack  []float64 // depth vectors of BatchLen lanes
 	regs   []float64 // nRegs vectors of BatchLen lanes
@@ -70,7 +71,8 @@ type Code struct {
 
 // BatchLen is the number of iterations one pass of the evaluator covers:
 // the lane count of its vector stack and registers. EvalBatch splits
-// longer blocks into passes of this length.
+// longer blocks into passes of this length. The phase runtime hands the
+// evaluator blocks of this length (rts.ContribBlock).
 const BatchLen = 256
 
 // CompileOpts controls bounds-check emission.
@@ -82,6 +84,13 @@ type CompileOpts struct {
 	// implementation is dataflow.Facts.RefProven over a proof computed
 	// from this same environment's bindings.
 	Unchecked func(ix *lang.IndexExpr) bool
+
+	// Stride and Slots lay out EvalBatch's output: result r of the j-th
+	// iteration lands in out[j*Stride+Slots[r]], and slots no result names
+	// are left untouched. Zero values mean the dense layout, Stride =
+	// len(results) and Slots[r] = r.
+	Stride int
+	Slots  []int
 }
 
 // CompileIter compiles loop l's scalar definitions followed by the given
@@ -97,25 +106,62 @@ func (e *Env) CompileIter(l *lang.Loop, results []lang.Expr) (*Code, error) {
 // CompileIterOpts is CompileIter with explicit bounds-check control.
 func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpts) (*Code, error) {
 	c := &compiler{env: e, loop: l, opts: opts, regOf: map[string]int32{}}
-	for _, st := range l.Body {
+	stride, slots := opts.Stride, opts.Slots
+	if slots == nil {
+		stride, slots = len(results), make([]int, len(results))
+		for r := range slots {
+			slots[r] = r
+		}
+	}
+	if len(slots) != len(results) {
+		return nil, fmt.Errorf("interp: %d output slots for %d results", len(slots), len(results))
+	}
+	for _, s := range slots {
+		if s < 0 || s >= stride {
+			return nil, fmt.Errorf("interp: output slot %d outside stride %d", s, stride)
+		}
+	}
+	// A scalar's register returns to the pool after the scalar's last
+	// read, so the evaluator holds vectors only for the scalars live at
+	// once, not for every scalar the body defines.
+	last := lastReads(l, results)
+	var pool []int32
+	nRegs := int32(0)
+	release := func(name string) {
+		pool = append(pool, c.regOf[name])
+		delete(c.regOf, name)
+	}
+	for s, st := range l.Body {
 		if st.Scalar == "" {
 			continue
 		}
 		if err := c.expr(st.RHS); err != nil {
 			return nil, err
 		}
+		for _, name := range readsOf(st.RHS) {
+			if _, live := c.regOf[name]; live && last[name] == s {
+				release(name)
+			}
+		}
 		reg, ok := c.regOf[st.Scalar]
 		if !ok {
-			reg = int32(len(c.regOf))
+			if n := len(pool); n > 0 {
+				reg, pool = pool[n-1], pool[:n-1]
+			} else {
+				reg, nRegs = nRegs, nRegs+1
+			}
 			c.regOf[st.Scalar] = reg
 		}
 		c.emit(instr{op: opStore, a: reg})
+		if last[st.Scalar] <= s {
+			release(st.Scalar)
+		}
 	}
 	for j, r := range results {
 		if err := c.expr(r); err != nil {
 			return nil, err
 		}
-		c.emit(instr{op: opResult, a: int32(j)})
+		c.emit(instr{op: opResult, a: int32(slots[j])})
 	}
 	code := &Code{
 		prog:   c.prog,
@@ -123,12 +169,45 @@ func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpt
 		f64:    c.f64,
 		i32:    c.i32,
 		checks: c.checks,
-		nRegs:  len(c.regOf),
+		nRegs:  int(nRegs),
 		nOut:   len(results),
+		stride: stride,
 		depth:  maxDepth(c.prog),
 	}
 	code.alloc()
 	return code, nil
+}
+
+// readsOf lists the identifiers e reads, with repeats.
+func readsOf(e lang.Expr) []string {
+	var out []string
+	lang.Walk(e, func(x lang.Expr) {
+		if id, ok := x.(*lang.Ident); ok {
+			out = append(out, id.Name)
+		}
+	})
+	return out
+}
+
+// lastReads maps each identifier read by loop l's scalar definitions or
+// by the results to the position of its last read: the body statement's
+// index, or len(l.Body)+j for result j. An identifier never read is
+// absent, and reads as position 0.
+func lastReads(l *lang.Loop, results []lang.Expr) map[string]int {
+	last := map[string]int{}
+	for s, st := range l.Body {
+		if st.Scalar != "" {
+			for _, name := range readsOf(st.RHS) {
+				last[name] = s
+			}
+		}
+	}
+	for j, r := range results {
+		for _, name := range readsOf(r) {
+			last[name] = len(l.Body) + j
+		}
+	}
+	return last
 }
 
 // maxDepth is the deepest the operand stack gets while running prog.
@@ -162,8 +241,13 @@ func (c *Code) Clone() *Code {
 	return &out
 }
 
-// NumResults reports how many output values Eval produces per iteration.
+// NumResults reports how many results the program computes per
+// iteration.
 func (c *Code) NumResults() int { return c.nOut }
+
+// Stride reports how many output slots each iteration occupies: out of
+// Eval needs at least Stride entries, out of EvalBatch len(iters)*Stride.
+func (c *Code) Stride() int { return c.stride }
 
 // NumChecks reports how many range-check sites the compiled code carries;
 // zero means the whole loop runs unchecked (fully proven).
@@ -176,15 +260,15 @@ func (c *Code) NumChecks() int { return len(c.checks) }
 func (c *Code) Err() error { return c.err }
 
 // Eval runs the program for iteration i, writing the results into out
-// (len >= NumResults). It is EvalBatch over a one-iteration block.
+// (len >= Stride). It is EvalBatch over a one-iteration block.
 func (c *Code) Eval(i int, out []float64) {
 	c.one[0] = int32(i)
 	c.EvalBatch(c.one[:], out)
 }
 
 // EvalBatch runs the program for every iteration in iters, writing the
-// results iteration-major: out[j*NumResults()+r] is result r of iters[j]
-// (len(out) >= len(iters)*NumResults()). Each instruction runs across a
+// results iteration-major: iters[j]'s results occupy out[j*Stride():],
+// result r at its output slot (slot r in the dense layout). Each instruction runs across a
 // pass of up to BatchLen iterations before the next one starts, so
 // dispatch is paid once per pass rather than once per iteration. The
 // results, and the first fault recorded, are those of evaluating the
@@ -192,7 +276,7 @@ func (c *Code) Eval(i int, out []float64) {
 func (c *Code) EvalBatch(iters []int32, out []float64) {
 	for lo := 0; lo < len(iters); lo += BatchLen {
 		hi := min(lo+BatchLen, len(iters))
-		c.pass(iters[lo:hi], out[lo*c.nOut:hi*c.nOut])
+		c.pass(iters[lo:hi], out[lo*c.stride:hi*c.stride])
 	}
 }
 
@@ -302,7 +386,7 @@ func (c *Code) pass(iters []int32, out []float64) {
 		case opResult:
 			sp--
 			for j, v := range vec(sp) {
-				out[j*c.nOut+int(in.a)] = v
+				out[j*c.stride+int(in.a)] = v
 			}
 		case opRange:
 			ck, d := &c.checks[in.a], vec(sp-1)

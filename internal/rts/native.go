@@ -7,6 +7,7 @@ import (
 
 	"irred/internal/algebra"
 	"irred/internal/inspector"
+	"irred/internal/interp"
 	"irred/internal/obs"
 )
 
@@ -23,8 +24,9 @@ type BatchContribFunc func(p int, iters []int32, out []float64)
 
 // ContribBlock is the most iterations an engine evaluates per
 // BatchContribFunc call; each worker owns one block buffer of this many
-// iterations' contributions.
-const ContribBlock = 256
+// iterations' contributions. It is the compiled evaluator's pass length,
+// so one call runs each bytecode instruction once.
+const ContribBlock = interp.BatchLen
 
 // batched returns the block form of a contribution hook: b when set,
 // otherwise f evaluated one iteration at a time into the block, or nil

@@ -11,10 +11,9 @@ import "irred/internal/inspector"
 // wiring (slots, portion routing, home returns), not just the native
 // engine's.
 type SimExec struct {
-	// Contribs or BatchContribs computes reduce-mode contributions, as in
-	// the native engine; the block form takes precedence when both are set.
-	Contribs      ContribFunc
-	BatchContribs BatchContribFunc
+	// Contribs computes reduce-mode contributions, as in the native
+	// engine.
+	Contribs ContribFunc
 	// Consume handles gather-mode iterations.
 	Consume ConsumeFunc
 	// Update runs per processor at each timestep boundary.
@@ -46,6 +45,6 @@ func (ex *SimExec) prepare(l *Loop, scheds []*inspector.Schedule) {
 	if ex.X == nil {
 		ex.X = make([]float64, l.Cfg.NumElems*l.Cost.comp())
 	}
-	contribs := batched(ex.BatchContribs, ex.Contribs, len(l.Ind)*l.Cost.comp())
+	contribs := batched(nil, ex.Contribs, len(l.Ind)*l.Cost.comp())
 	ex.body = newPhaseBody(l, ex.X, newBufs(l, scheds), newBlocks(l), contribs, ex.Consume, ex.Verify, false)
 }

@@ -14,6 +14,7 @@ import (
 	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
+	"irred/internal/rts"
 )
 
 // State is a job's lifecycle position.
@@ -347,33 +348,39 @@ func (sp *JobSpec) validateLoop(ind [][]int32, contrib *ContribSpec) error {
 	return nil
 }
 
-// contrib builds the rts.ContribFunc of a single-loop raw job.
-func (sp *JobSpec) contrib() func(p, i int, out []float64) { return sp.contribFor(0) }
+// contrib builds the contribution hook of a single-loop raw job.
+func (sp *JobSpec) contrib() rts.BatchContribFunc { return sp.contribFor(0) }
 
-// contribFor builds the rts.ContribFunc of loop l. The returned closure is
-// stateless, so it is safe for every processor goroutine.
-func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
+// contribFor builds the block contribution hook of loop l: one slot per
+// reference per iteration. The returned closure is stateless, so it is
+// safe for every processor goroutine.
+func (sp *JobSpec) contribFor(l int) rts.BatchContribFunc {
 	numRef := len(sp.loopInd(l))
 	c := sp.loopContrib(l)
 	switch c.Kind {
 	case "ones":
-		return func(_, _ int, out []float64) {
-			for r := 0; r < numRef; r++ {
-				out[r] = 1
+		return func(_ int, iters []int32, out []float64) {
+			out = out[:len(iters)*numRef]
+			for j := range out {
+				out[j] = 1
 			}
 		}
 	case "weights":
 		w := c.Weights
-		return func(_, i int, out []float64) {
-			for r := 0; r < numRef; r++ {
-				out[r] = w[i]
+		return func(_ int, iters []int32, out []float64) {
+			for j, it := range iters {
+				for r := j * numRef; r < (j+1)*numRef; r++ {
+					out[r] = w[it]
+				}
 			}
 		}
 	default: // "pair"
 		w := c.Weights
-		return func(_, i int, out []float64) {
-			out[0] = w[i]
-			out[1] = -w[i]
+		return func(_ int, iters []int32, out []float64) {
+			for j, it := range iters {
+				out[2*j] = w[it]
+				out[2*j+1] = -w[it]
+			}
 		}
 	}
 }
@@ -393,20 +400,22 @@ func (sp *JobSpec) SequentialRaw() ([]float64, error) {
 	x := make([]float64, sp.NumElems)
 	nl := sp.numLoops()
 	inds := make([][][]int32, nl)
-	fns := make([]func(p, i int, out []float64), nl)
+	fns := make([]rts.BatchContribFunc, nl)
 	scratches := make([][]float64, nl)
 	for l := 0; l < nl; l++ {
 		inds[l] = sp.loopInd(l)
 		fns[l] = sp.contribFor(l)
 		scratches[l] = make([]float64, len(inds[l]))
 	}
+	it := make([]int32, 1)
 	for step := 0; step < sp.steps(); step++ {
 		for l := 0; l < nl; l++ {
 			ind := inds[l]
 			fn := fns[l]
 			scratch := scratches[l]
 			for i := 0; i < sp.NumIters; i++ {
-				fn(0, i, scratch)
+				it[0] = int32(i)
+				fn(0, it, scratch)
 				for r := range ind {
 					x[ind[r][i]] += scratch[r]
 				}

@@ -627,7 +627,7 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 		if err != nil {
 			return nil, hit, key, err
 		}
-		d.Contribs = spec.contrib()
+		d.BatchContribs = spec.contrib()
 		d.Trace = s.trace
 		d.Inject = inj
 		if inj != nil {
@@ -680,8 +680,10 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 		ctx2, cancel := context.WithCancel(j.ctx)
 		defer cancel()
 		runCtx = ctx2
-		base := contrib
-		contrib = func(p, i int, out []float64) {
+		// Each iteration runs alone under its own recover, so a panic
+		// costs exactly the panicking iteration's contributions.
+		base, w := contrib, len(l.Ind)
+		one := func(p int, it []int32, out []float64) {
 			defer func() {
 				if r := recover(); r != nil {
 					pmu.Lock()
@@ -695,11 +697,16 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 					}
 				}
 			}()
-			inj.KernelPanic(p, i)
-			base(p, i, out)
+			inj.KernelPanic(p, int(it[0]))
+			base(p, it, out)
+		}
+		contrib = func(p int, iters []int32, out []float64) {
+			for j := range iters {
+				one(p, iters[j:j+1], out[j*w:(j+1)*w])
+			}
 		}
 	}
-	n.Contribs = contrib
+	n.BatchContribs = contrib
 	if seed != nil {
 		copy(n.X, seed)
 	}
@@ -770,7 +777,7 @@ func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (resul
 		if err != nil {
 			return nil, hit, key, err
 		}
-		n.Contribs = spec.contribFor(li)
+		n.BatchContribs = spec.contribFor(li)
 		n.X = x
 		natives[li] = n
 	}

@@ -510,7 +510,7 @@ func (s *Service) runSession(ctx context.Context, sess *Session) error {
 	l := &rts.Loop{Cfg: spec.rawConfig(dist), Mode: rts.Reduce, Ind: spec.Ind, Trace: s.trace}
 	scheds := sess.scheds
 	nLoops := spec.numLoops()
-	contribs := make([]rts.ContribFunc, nLoops)
+	contribs := make([]rts.BatchContribFunc, nLoops)
 	for li := 0; li < nLoops; li++ {
 		contribs[li] = spec.contribFor(li)
 	}
@@ -531,7 +531,7 @@ func (s *Service) runSession(ctx context.Context, sess *Session) error {
 		if err != nil {
 			return err
 		}
-		n.Contribs = contribs[li]
+		n.BatchContribs = contribs[li]
 		n.X = x
 		natives[li] = n
 	}
